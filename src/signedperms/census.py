@@ -2,9 +2,11 @@
 
 run_census computes b_0..b_{n_max} for every orbit of pattern sets, checks
 each registered closed form against the enumerated values on its claimed
-range, and groups orbits whose sequences agree into Wilf classes.  Tables
-round-trip through a JSON schema (export / load_cache), so an expensive
-census can be extended instead of recomputed.
+range, and groups orbits whose sequences agree into Wilf classes.
+verify_registry checks every registry entry the same way.  Both take all
+their counts from one call to the transfer engine.  Tables round-trip
+through a JSON schema (export / load_cache), so a census can be extended
+instead of recomputed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .core import DEFAULT_CAP, PatternSet, check_cap
-from .enumeration import counts_all_subsets
+from .enumeration import transfer_all_orders
 from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
 
@@ -70,14 +72,13 @@ def _registry_by_rep() -> dict[int, list[RegistryEntry]]:
 def run_census(
     n_max: int,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
     cache: CensusTable | None = None,
 ) -> CensusTable:
     """Count, verify, and classify all orbits up to order n_max.
 
-    Counts come from the histogram engine, one pass per order; orders
-    already present in cache are reused instead of recomputed.  Sequences
-    are checked for agreement across each orbit before being recorded.
+    Orders already present in cache are reused; the orders above it come
+    from one transfer-engine pass.  Sequences are checked for agreement
+    across each orbit before being recorded.
     """
     check_cap(n_max, cap)
     orbits = all_orbits()
@@ -92,12 +93,13 @@ def run_census(
         cached_seqs = cached
         cached_n = cache.n_max
 
+    computed = transfer_all_orders(n_max, cap=cap, n_min=cached_n + 1)
     for n in range(n_max + 1):
         if n <= cached_n:
             for rep_mask, seq in sequences.items():
                 seq.append(cached_seqs[rep_mask][n])
             continue
-        counts = counts_all_subsets(n, cap=cap, workers=workers)
+        counts = computed[n - cached_n - 1]
         for orb in orbits:
             values = {counts[member] for member in orb.members}
             if len(values) != 1:
@@ -207,9 +209,7 @@ _SUPERSEDED = (
 )
 
 
-def verify_registry(
-    n_max: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> VerificationReport:
+def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     """Check every registered closed form against enumerated counts.
 
     Each entry is checked on [min_n, n_max].  Orders below min_n where the
@@ -218,7 +218,7 @@ def verify_registry(
     with enumeration at their witness orders.
     """
     check_cap(n_max, cap)
-    per_order = [counts_all_subsets(n, cap=cap, workers=workers) for n in range(n_max + 1)]
+    per_order = transfer_all_orders(n_max, cap=cap)
 
     checks = []
     for entry in registry():

@@ -17,6 +17,7 @@ import warnings
 from pathlib import Path
 
 from .census import (
+    MISMATCH,
     SchemaError,
     export,
     load_cache,
@@ -130,24 +131,25 @@ def _cmd_census(args: argparse.Namespace) -> int:
     if cache_path and cache_path.exists():
         cache = load_cache(cache_path)
     timer = _Timer(args.timing)
-    table = run_census(args.n_max, cap=args.cap, workers=args.threads, cache=cache)
+    table = run_census(args.n_max, cap=args.cap, cache=cache)
     elapsed = time.perf_counter() - timer.start
     timer.report()
     if args.timing:
         table.metadata = dict(table.metadata, timing_seconds=round(elapsed, 3))
-    if cache_path:
+    # never replace a cache with a shorter table
+    if cache_path and (cache is None or table.n_max >= cache.n_max):
         write_cache(table, cache_path)
     data = export(table, args.format)
     if args.out:
         Path(args.out).write_bytes(data)
     else:
         sys.stdout.write(data.decode())
-    return 0
+    return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     timer = _Timer(args.timing)
-    report = verify_registry(args.n_max, cap=args.cap, workers=args.threads)
+    report = verify_registry(args.n_max, cap=args.cap)
     timer.report()
     if args.format == "json":
         doc = {
@@ -210,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="largest order allowed (default %(default)s)")
         p.add_argument("--threads", type=int, default=_default_workers(),
-                       help="worker processes for the mask engine")
+                       help="worker processes for --method mask; "
+                            "no effect on other methods or subcommands")
         p.add_argument("--timing", action="store_true",
                        help="print elapsed seconds to stderr")
         p.add_argument("--format", choices=formats, default=formats[0],

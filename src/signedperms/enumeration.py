@@ -1,14 +1,18 @@
-"""Three independent engines for counting pattern-avoiding permutations.
+"""Engines for counting pattern-avoiding signed permutations.
 
+    transfer   memoized gap-state generating tree: b_n(T) for all 256 sets
+               and every order up to n_max in one pass, in time polynomial
+               in n_max; the core behind census and verify
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
     mask       vectorized histogram of containment masks over all of B_n,
                then a subset-lattice (zeta) transform that answers all 256
-               pattern sets in one pass
+               pattern sets at one order
 
-The engines share nothing but the fixed pattern indexing, so agreement
-between them is strong evidence of correctness.  naive and backtrack answer
-one set at a time; mask is the bulk engine behind the census.
+naive, backtrack and mask are kept as independent oracles and answer count
+and sequence.  naive and mask share nothing with transfer but the fixed
+pattern indexing, so agreement with them is strong evidence of correctness;
+backtrack and transfer share the extension tables.
 """
 
 from __future__ import annotations
@@ -141,6 +145,77 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
         return cnt
 
     return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
+
+
+@lru_cache(maxsize=None)
+def _kept_sets(added: int) -> np.ndarray:
+    # indices of the pattern sets that a move adding these patterns avoids
+    kept = np.flatnonzero((np.arange(256) & added) == 0)
+    kept.flags.writeable = False
+    return kept
+
+
+def transfer_all_orders(
+    n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
+) -> list[dict[PatternSet, int]]:
+    """Avoider counts for all 256 pattern sets at orders n_min..n_max.
+
+    Entry i of the result holds order n_min + i; an empty range gives [].
+
+    Which patterns the next letter adds depends only on the four bits of
+    _extension_tables, so a prefix's future depends only on k, the number
+    of unused magnitudes, and on four gap indices in 0..k placing the min
+    and max used unbarred magnitudes and the min and max used barred ones
+    among the unused magnitudes (gap g holds used magnitudes with exactly
+    g unused ones below them; an absent min is gap k, an absent max gap
+    0).  Each state maps to a vector over the 256 sets T of its
+    completions avoiding T, memoized across orders, since order k starts
+    at (k; k, 0, k, 0).  The state count grows polynomially in n_max, not
+    as 2^n n!, and every count is an exact Python integer.
+    """
+    check_cap(n_max, cap)
+    if n_min < 0:
+        raise ValueError(f"order must be nonnegative, got {n_min}")
+    ext_u = _EXTEND_UNBARRED
+    ext_b = _EXTEND_BARRED
+    memo: dict[tuple[int, int, int, int, int], np.ndarray] = {}
+    done = np.ones(256, dtype=object)
+
+    def completions(state: tuple[int, int, int, int, int]) -> np.ndarray:
+        vec = memo.get(state)
+        if vec is not None:
+            return vec
+        k, lu, hu, lb, hb = state
+        if k == 0:
+            memo[state] = done
+            return done
+        # sum the successors' vectors by added mask first, so each mask's
+        # 0/1 keep-vector is applied once per state, not once per move
+        by_added: dict[int, np.ndarray] = {}
+        for j in range(k):
+            s = (lu <= j) | (hu > j) << 1 | (lb <= j) << 2 | (hb > j) << 3
+            # taking the j-th unused magnitude merges gaps j and j + 1
+            lu2, hu2 = lu - (lu > j), hu - (hu > j)
+            lb2, hb2 = lb - (lb > j), hb - (hb > j)
+            for nxt, added in (
+                ((k - 1, min(lu2, j), max(hu2, j), lb2, hb2), ext_u[s]),
+                ((k - 1, lu2, hu2, min(lb2, j), max(hb2, j)), ext_b[s]),
+            ):
+                sub = completions(nxt)
+                acc = by_added.get(added)
+                # not +=: acc may be a memoized vector
+                by_added[added] = sub if acc is None else acc + sub
+        vec = np.zeros(256, dtype=object)
+        for added, acc in by_added.items():
+            kept = _kept_sets(added)
+            vec[kept] += acc[kept]
+        memo[state] = vec
+        return vec
+
+    return [
+        {PatternSet(t): v for t, v in enumerate(completions((n, n, 0, n, 0)).tolist())}
+        for n in range(n_min, n_max + 1)
+    ]
 
 
 @dataclass(frozen=True)

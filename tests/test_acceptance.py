@@ -101,7 +101,7 @@ def test_criterion_3_master_registry_verification():
                 expected = eval_formula(entry.formula, n)
                 enumerated = count_backtrack(n, entry.patterns).value
                 assert expected == enumerated, (entry.name, n, expected, enumerated)
-        # route two: histogram plus subset transform, all entries at once
+        # route two: transfer engine, all entries at once
         report = verify_registry(7)
         assert report.mismatch_count == 0
         assert len(report.checks) == 67
@@ -193,17 +193,15 @@ def test_criterion_7_structural_invariants():
 def test_criterion_8_performance():
     with criterion(8, "census to n=8 under 60 s; census to n=7 "
                       "single-threaded under 30 s"):
-        import os
-
         start = time.perf_counter()
-        table8 = run_census(8, workers=os.cpu_count() or 1)
+        table8 = run_census(8)
         elapsed8 = time.perf_counter() - start
         assert elapsed8 < 60, f"n=8 census took {elapsed8:.1f}s"
         assert len(table8.records) == 58
         assert all(rec.verification == "verified" for rec in table8.records)
 
         start = time.perf_counter()
-        table7 = run_census(7, workers=1)
+        table7 = run_census(7)
         elapsed7 = time.perf_counter() - start
         assert elapsed7 < 30, f"n=7 census took {elapsed7:.1f}s"
         assert all(rec.verification == "verified" for rec in table7.records)

@@ -195,6 +195,29 @@ class TestCensus:
         assert json.loads(cache.read_text())["n_max"] == 4
         assert json.loads(out)["n_max"] == 4
 
+    def test_cache_never_shrinks(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        code, _, _ = run(
+            capsys, "census", "--n-max", "7", "--cache", str(cache)
+        )
+        assert code == 0
+        before = cache.read_bytes()
+
+        code, out, _ = run(
+            capsys, "census", "--n-max", "4", "--cache", str(cache)
+        )
+        assert code == 0
+        assert json.loads(out)["n_max"] == 4
+        assert json.loads(cache.read_text())["n_max"] == 7
+        assert cache.read_bytes() == before
+
+    def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ12", lambda n: 2**n - n)
+        code, out, _ = run(capsys, "census", "--n-max", "3")
+        assert code == 1
+        doc = json.loads(out)
+        assert "mismatch" in {rec["verification"] for rec in doc["records"]}
+
     def test_corrupt_cache_exit_2(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         cache.write_text("{broken")

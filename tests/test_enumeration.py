@@ -1,5 +1,6 @@
-"""Agreement and correctness of the three counting engines."""
+"""Agreement and correctness of the counting engines."""
 
+import functools
 import math
 
 import pytest
@@ -19,10 +20,16 @@ from signedperms import (
     counts_all_subsets,
     iterate_Bn,
     mask_histogram,
+    transfer_all_orders,
 )
 from conftest import NAMED_TRIPLES, oracle_count
 
 pattern_sets = st.integers(0, 255).map(PatternSet)
+
+
+@functools.cache
+def transfer_to(n_max: int) -> list[dict[PatternSet, int]]:
+    return transfer_all_orders(n_max, cap=n_max)
 
 
 def brute_histogram(n: int) -> dict[int, int]:
@@ -157,6 +164,51 @@ class TestCountsAllSubsets:
         assert counts_all_subsets(4, histogram=h) == counts_all_subsets(4)
         with pytest.raises(ValueError):
             counts_all_subsets(3, histogram=h)
+
+
+class TestTransfer:
+    # every check compares against an engine or a closed form that shares
+    # no code with the transfer engine's gap-state logic
+
+    def test_matches_histogram_through_order_8(self):
+        per_order = transfer_to(8)
+        assert len(per_order) == 9
+        for n in range(9):
+            assert per_order[n] == counts_all_subsets(n), n
+
+    def test_matches_naive_exhaustively(self):
+        per_order = transfer_to(5)
+        for n in range(6):
+            for mask in range(256):
+                tset = PatternSet(mask)
+                assert per_order[n][tset] == count_naive(n, tset).value, (n, mask)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 6), pattern_sets)
+    def test_matches_naive_random(self, n, tset):
+        assert transfer_to(6)[n][tset] == count_naive(n, tset).value
+
+    def test_closed_forms_at_order_12(self):
+        per12 = transfer_to(12)[12]
+        t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
+        assert per12[EMPTY_SET] == 2**12 * math.factorial(12)
+        assert per12[t2] == math.comb(26, 13) // 14
+        assert all(type(v) is int for v in per12.values())
+
+    def test_adding_patterns_never_helps_at_order_10(self):
+        per = transfer_to(12)[10]
+        for mask in range(256):
+            for i in range(8):
+                if not mask >> i & 1:
+                    assert per[PatternSet(mask | 1 << i)] <= per[PatternSet(mask)]
+
+    def test_order_range(self):
+        assert transfer_all_orders(5, n_min=3) == transfer_to(5)[3:]
+        assert transfer_all_orders(2, n_min=3) == []
+        with pytest.raises(CapExceededError):
+            transfer_all_orders(12)
+        with pytest.raises(ValueError):
+            transfer_all_orders(3, n_min=-1)
 
 
 class TestDispatch:
