@@ -5,8 +5,8 @@ each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry checks every registry entry the same way.  Both take all
 their counts from one call to the transfer engine.  Tables round-trip
-through a JSON schema (export / load_cache), so a census can be extended
-instead of recomputed.
+through a JSON schema (export / load_cache); a cached table is checked
+against re-derived counts, never trusted, before a census extends it.
 """
 
 from __future__ import annotations
@@ -76,30 +76,16 @@ def run_census(
 ) -> CensusTable:
     """Count, verify, and classify all orbits up to order n_max.
 
-    Orders already present in cache are reused; the orders above it come
-    from one transfer-engine pass.  Sequences are checked for agreement
-    across each orbit before being recorded.
+    All orders come from one transfer-engine pass.  Sequences are checked
+    for agreement across each orbit before being recorded.  A cache is
+    never trusted: every cached order up to n_max must equal the
+    re-derived count, or SchemaError names the first orbit and order
+    that disagree.
     """
     check_cap(n_max, cap)
     orbits = all_orbits()
     sequences: dict[int, list[int]] = {o.representative.mask: [] for o in orbits}
-
-    cached_seqs: dict[int, tuple[int, ...]] = {}
-    cached_n = -1
-    if cache is not None:
-        cached = {rec.representative.mask: rec.sequence for rec in cache.records}
-        if set(cached) != set(sequences):
-            raise SchemaError("cache does not list the expected orbit representatives")
-        cached_seqs = cached
-        cached_n = cache.n_max
-
-    computed = transfer_all_orders(n_max, cap=cap, n_min=cached_n + 1)
-    for n in range(n_max + 1):
-        if n <= cached_n:
-            for rep_mask, seq in sequences.items():
-                seq.append(cached_seqs[rep_mask][n])
-            continue
-        counts = computed[n - cached_n - 1]
+    for n, counts in enumerate(transfer_all_orders(n_max, cap=cap)):
         for orb in orbits:
             values = {counts[member] for member in orb.members}
             if len(values) != 1:
@@ -107,6 +93,21 @@ def run_census(
                     f"orbit of {orb.representative} has unequal counts at order {n}"
                 )
             sequences[orb.representative.mask].append(values.pop())
+
+    if cache is not None:
+        cached = {rec.representative.mask: rec.sequence for rec in cache.records}
+        if set(cached) != set(sequences):
+            raise SchemaError("cache does not list the expected orbit representatives")
+        for orbit_id, orb in enumerate(orbits):
+            rep = orb.representative
+            for n in range(min(cache.n_max, n_max) + 1):
+                got, want = cached[rep.mask][n], sequences[rep.mask][n]
+                if got != want:
+                    raise SchemaError(
+                        f"cache disagrees with enumeration for orbit {orbit_id} "
+                        f"{{{rep.text()}}} at order {n}: cached {got}, "
+                        f"enumerated {want}"
+                    )
 
     by_rep = _registry_by_rep()
     rows = []

@@ -132,10 +132,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
         cache = load_cache(cache_path)
     timer = _Timer(args.timing)
     table = run_census(args.n_max, cap=args.cap, cache=cache)
-    elapsed = time.perf_counter() - timer.start
     timer.report()
-    if args.timing:
-        table.metadata = dict(table.metadata, timing_seconds=round(elapsed, 3))
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
         write_cache(table, cache_path)

@@ -2,7 +2,10 @@
 
     transfer   memoized gap-state generating tree: b_n(T) for all 256 sets
                and every order up to n_max in one pass, in time polynomial
-               in n_max; the core behind census and verify
+               in n_max; the core behind census and verify.  Each state's
+               256 counts are packed into fields of one Python int, wide
+               enough for 2^n_max n_max!, the most any count or partial
+               sum can reach, so fields never carry into each other
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
     mask       vectorized histogram of containment masks over all of B_n,
@@ -12,18 +15,16 @@
 naive, backtrack and mask are kept as independent oracles and answer count
 and sequence.  naive and mask share nothing with transfer but the fixed
 pattern indexing, so agreement with them is strong evidence of correctness;
-backtrack and transfer share the extension tables.
+backtrack and transfer share the extension tables.  Only mask uses numpy,
+imported when it first runs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .core import (
     DEFAULT_CAP,
@@ -147,14 +148,6 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
     return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
 
 
-@lru_cache(maxsize=None)
-def _kept_sets(added: int) -> np.ndarray:
-    # indices of the pattern sets that a move adding these patterns avoids
-    kept = np.flatnonzero((np.arange(256) & added) == 0)
-    kept.flags.writeable = False
-    return kept
-
-
 def transfer_all_orders(
     n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
 ) -> list[dict[PatternSet, int]]:
@@ -168,20 +161,44 @@ def transfer_all_orders(
     and max used unbarred magnitudes and the min and max used barred ones
     among the unused magnitudes (gap g holds used magnitudes with exactly
     g unused ones below them; an absent min is gap k, an absent max gap
-    0).  Each state maps to a vector over the 256 sets T of its
-    completions avoiding T, memoized across orders, since order k starts
-    at (k; k, 0, k, 0).  The state count grows polynomially in n_max, not
-    as 2^n n!, and every count is an exact Python integer.
+    0).  Each state maps to the counts of its completions avoiding each of
+    the 256 sets T, memoized across orders, since order k starts at
+    (k; k, 0, k, 0).  The state count grows polynomially in n_max, not as
+    2^n n!.
+
+    The 256 counts of a state are packed into one Python int, the count
+    for T in bits [W*T, W*(T+1)) with W the bit length of 2^n_max n_max!.
+    A state with k unused magnitudes has 2^k k! completions in all, and
+    every count, and every partial sum of its successors' counts, is at
+    most that, so no field ever overflows into the next: summing
+    successors is one integer addition, and dropping the sets a move
+    violates is one AND with a mask of all-ones fields.  Unpacked counts
+    are exact Python integers.
     """
     check_cap(n_max, cap)
     if n_min < 0:
         raise ValueError(f"order must be nonnegative, got {n_min}")
     ext_u = _EXTEND_UNBARRED
     ext_b = _EXTEND_BARRED
-    memo: dict[tuple[int, int, int, int, int], np.ndarray] = {}
-    done = np.ones(256, dtype=object)
+    width = ((1 << n_max) * math.factorial(n_max)).bit_length()
+    field = (1 << width) - 1
 
-    def completions(state: tuple[int, int, int, int, int]) -> np.ndarray:
+    def ones(added: int) -> int:
+        # a 1 in the field of every T disjoint from added: the product of
+        # 1 + 2^(width 2^i) over the bits i not in added, carry-free since
+        # every coefficient of the product is 0 or 1
+        total = 1
+        for i in range(8):
+            if not added >> i & 1:
+                total *= 1 + (1 << (width << i))
+        return total
+
+    done = ones(0)
+    # added mask -> all-ones fields of the sets that a move adding it avoids
+    keep = {added: ones(added) * field for added in {*ext_u, *ext_b}}
+    memo: dict[tuple[int, int, int, int, int], int] = {}
+
+    def completions(state: tuple[int, int, int, int, int]) -> int:
         vec = memo.get(state)
         if vec is not None:
             return vec
@@ -189,9 +206,9 @@ def transfer_all_orders(
         if k == 0:
             memo[state] = done
             return done
-        # sum the successors' vectors by added mask first, so each mask's
-        # 0/1 keep-vector is applied once per state, not once per move
-        by_added: dict[int, np.ndarray] = {}
+        # sum the successors by added mask first, so each mask is applied
+        # once per state, not once per move
+        by_added: dict[int, int] = {}
         for j in range(k):
             s = (lu <= j) | (hu > j) << 1 | (lb <= j) << 2 | (hb > j) << 3
             # taking the j-th unused magnitude merges gaps j and j + 1
@@ -201,21 +218,19 @@ def transfer_all_orders(
                 ((k - 1, min(lu2, j), max(hu2, j), lb2, hb2), ext_u[s]),
                 ((k - 1, lu2, hu2, min(lb2, j), max(hb2, j)), ext_b[s]),
             ):
-                sub = completions(nxt)
-                acc = by_added.get(added)
-                # not +=: acc may be a memoized vector
-                by_added[added] = sub if acc is None else acc + sub
-        vec = np.zeros(256, dtype=object)
+                by_added[added] = by_added.get(added, 0) + completions(nxt)
+        vec = 0
         for added, acc in by_added.items():
-            kept = _kept_sets(added)
-            vec[kept] += acc[kept]
+            vec += acc & keep[added]
         memo[state] = vec
         return vec
 
-    return [
-        {PatternSet(t): v for t, v in enumerate(completions((n, n, 0, n, 0)).tolist())}
-        for n in range(n_min, n_max + 1)
-    ]
+    sets = [PatternSet(t) for t in range(256)]
+    out = []
+    for n in range(n_min, n_max + 1):
+        vec = completions((n, n, 0, n, 0))
+        out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
+    return out
 
 
 @dataclass(frozen=True)
@@ -248,6 +263,8 @@ def _pair_tables(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
     # the single-bit pattern contribution of that pair: one array for
     # descending magnitudes, one for ascending.  Sign bit i of the vector
     # bars position i.
+    import numpy as np
+
     size = 1 << n
     lut = np.zeros((2, 2, 2), dtype=np.uint8)
     for si in (0, 1):
@@ -274,6 +291,8 @@ def _histogram_block(
 ) -> np.ndarray:
     # containment masks for a block of magnitude words crossed with all
     # 2^n sign vectors at once
+    import numpy as np
+
     size = 1 << n
     masks = np.zeros((perms.shape[0], size), dtype=np.uint8)
     for i, j, desc, asc in tables:
@@ -283,6 +302,8 @@ def _histogram_block(
 
 
 def _histogram_chunk(args: tuple[int, int, int]) -> np.ndarray:
+    import numpy as np
+
     n, start, stop = args
     block = list(
         itertools.islice(itertools.permutations(range(1, n + 1)), start, stop)
@@ -303,6 +324,8 @@ def mask_histogram(
     mask per word, then histogrammed.  workers > 1 splits chunks across
     processes.
     """
+    import numpy as np
+
     check_cap(n, cap)
     if n < 2:
         return MaskHistogram(n, {0: (1 << n) * math.factorial(n)})
@@ -318,6 +341,8 @@ def mask_histogram(
             (n, start, min(start + chunk_size, total_words))
             for start in range(0, total_words, chunk_size)
         ]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_histogram_chunk, specs):
                 hist += part

@@ -1,5 +1,6 @@
 """Census records, formula verification, Wilf classes, serialization."""
 
+import dataclasses
 import json
 
 import pytest
@@ -118,6 +119,17 @@ class TestRunCensus:
         broken.records = broken.records[:-1]
         with pytest.raises(SchemaError):
             run_census(3, cache=broken)
+
+    def test_cache_with_tampered_count(self, table5):
+        tampered = run_census(5)
+        rec = tampered.records[5]
+        seq = list(rec.sequence)
+        seq[4] += 1
+        tampered.records[5] = dataclasses.replace(rec, sequence=tuple(seq))
+        with pytest.raises(SchemaError, match="orbit 5 .* at order 4"):
+            run_census(6, cache=tampered)
+        # only the orders the new table reuses are compared
+        assert run_census(3, cache=tampered).records == run_census(3).records
 
 
 class TestVerifyRegistry:

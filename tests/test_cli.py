@@ -1,11 +1,18 @@
-"""Command line behavior: output, determinism, exit codes."""
+"""Command line behavior: output, determinism, exit codes, imports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import signedperms
 from signedperms import formulas
 from signedperms.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -218,6 +225,32 @@ class TestCensus:
         doc = json.loads(out)
         assert "mismatch" in {rec["verification"] for rec in doc["records"]}
 
+    def test_tampered_cache_exit_2(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        assert run(capsys, "census", "--n-max", "6", "--cache", str(cache))[0] == 0
+        doc = json.loads(cache.read_text())
+        record = doc["records"][5]
+        assert record["paper_names"] == ["{1 2, -2 1}"]
+        record["sequence"][4] = str(int(record["sequence"][4]) + 1)
+        cache.write_text(json.dumps(doc, indent=2) + "\n")
+        before = cache.read_bytes()
+
+        code, out, err = run(
+            capsys, "census", "--n-max", "7", "--cache", str(cache)
+        )
+        assert code == 2
+        assert out == ""
+        assert "orbit 5" in err and "order 4" in err
+        assert cache.read_bytes() == before
+
+    def test_timing_only_on_stderr(self, capsys):
+        plain = run(capsys, "census", "--n-max", "4")
+        timed = run(capsys, "census", "--n-max", "4", "--timing")
+        assert plain[0] == timed[0] == 0
+        assert timed[1] == plain[1]
+        assert "timing_seconds" not in timed[1]
+        assert "timing_seconds:" in timed[2]
+
     def test_corrupt_cache_exit_2(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         cache.write_text("{broken")
@@ -253,3 +286,56 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n-max", "3")
         assert code == 1
         assert any(l.startswith("FAIL T_8") for l in out.splitlines())
+
+
+class TestGolden:
+    # the files are the reference output: a byte that differs is a
+    # regression to fix, not a cue to regenerate them
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("census_n6.json", ("census", "--n-max", "6")),
+            ("census_n6.csv", ("census", "--n-max", "6", "--format", "csv")),
+            ("verify_n6.txt", ("verify", "--n-max", "6")),
+            ("verify_n6.json", ("verify", "--n-max", "6", "--format", "json")),
+        ],
+    )
+    def test_bytes(self, capsys, name, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+def run_fresh(code: str) -> str:
+    # a new interpreter, so modules imported by other tests do not count
+    src = str(Path(signedperms.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return done.stdout
+
+
+class TestImports:
+    def test_cli_loads_no_numpy(self):
+        out = run_fresh(
+            "import contextlib, io, sys\n"
+            "import signedperms.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['census', '--n-max', '5'])\n"
+            "print(code, 'numpy' in sys.modules,"
+            " 'concurrent.futures.process' in sys.modules)\n"
+        )
+        assert out == "0 False False\n"
+
+    def test_mask_method_imports_numpy_lazily(self):
+        out = run_fresh(
+            "import sys\n"
+            "import signedperms.cli as cli\n"
+            "code = cli.main(['count', '--method', 'mask',"
+            " '--patterns', '1 2', '--n', '6'])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        assert out == "13327\n0 True\n"

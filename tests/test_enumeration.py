@@ -195,6 +195,23 @@ class TestTransfer:
         assert per12[t2] == math.comb(26, 13) // 14
         assert all(type(v) is int for v in per12.values())
 
+    def test_independent_of_field_width(self):
+        # counts are packed into fields whose width depends on n_max; the
+        # same orders must come out of every width
+        wide = transfer_to(14)
+        for m in range(9):
+            narrow = transfer_all_orders(m)
+            assert narrow == transfer_all_orders(m + 3, cap=m + 3)[: m + 1], m
+            assert narrow == wide[: m + 1], m
+
+    def test_extreme_fields_at_order_14(self):
+        per_order = transfer_to(14)
+        # field 0 holds the largest value the width must fit, the top field
+        # is where a carry out of a lower field would land
+        assert per_order[14][EMPTY_SET] == 2**14 * math.factorial(14)
+        assert [per_order[n][FULL_SET] for n in range(15)] == [1, 2] + [0] * 13
+        assert all(type(v) is int for per in per_order for v in per.values())
+
     def test_adding_patterns_never_helps_at_order_10(self):
         per = transfer_to(12)[10]
         for mask in range(256):
