@@ -3,8 +3,9 @@
 run_census computes b_0..b_{n_max} for every orbit of pattern sets, checks
 each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
-verify_registry checks every registry entry the same way.  Both take all
-their counts from one call to the transfer engine.  Tables round-trip
+verify_registry reports the check of every registry entry.  Both take all
+their counts from one call to the transfer engine and their formula checks
+from one loop, _check_registry.  Tables round-trip
 through a JSON schema (export / load_cache); a cached table is checked
 against re-derived counts, never trusted, before a census extends it.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .core import DEFAULT_CAP, PatternSet, check_cap
+from .core import DEFAULT_CAP, PatternSet
 from .enumeration import transfer_all_orders
 from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
@@ -62,11 +63,48 @@ class CensusTable:
     metadata: dict = field(default_factory=dict)
 
 
-def _registry_by_rep() -> dict[int, list[RegistryEntry]]:
-    grouped: dict[int, list[RegistryEntry]] = {}
+@dataclass(frozen=True)
+class EntryCheck:
+    """Outcome of checking one registry entry against enumeration."""
+
+    entry: RegistryEntry
+    first_n: int
+    last_n: int
+    status: str
+    mismatches: tuple[str, ...]
+    holds_below: tuple[int, ...]
+
+
+def _check_registry(
+    per_order: list[dict[PatternSet, int]], n_max: int
+) -> tuple[EntryCheck, ...]:
+    # the one place formulas meet counts: each registry entry, in registry
+    # order, against per_order[n] for n = 0..n_max
+    checks = []
     for entry in registry():
-        grouped.setdefault(entry.canonical.mask, []).append(entry)
-    return grouped
+        mismatches = []
+        holds_below = []
+        for n in range(n_max + 1):
+            enumerated = per_order[n][entry.patterns]
+            expected = eval_formula(entry.formula, n)
+            if n < entry.min_n:
+                if expected == enumerated:
+                    holds_below.append(n)
+            elif expected != enumerated:
+                mismatches.append(
+                    f"n={n}: formula {expected}, enumerated {enumerated}"
+                )
+        checks.append(
+            EntryCheck(
+                entry=entry,
+                first_n=entry.min_n,
+                last_n=n_max,
+                status=MISMATCH if mismatches else VERIFIED,
+                mismatches=tuple(mismatches),
+                holds_below=tuple(holds_below),
+            )
+        )
+    return tuple(checks)
 
 
 def run_census(
@@ -82,10 +120,10 @@ def run_census(
     re-derived count, or SchemaError names the first orbit and order
     that disagree.
     """
-    check_cap(n_max, cap)
+    per_order = transfer_all_orders(n_max, cap=cap)
     orbits = all_orbits()
     sequences: dict[int, list[int]] = {o.representative.mask: [] for o in orbits}
-    for n, counts in enumerate(transfer_all_orders(n_max, cap=cap)):
+    for n, counts in enumerate(per_order):
         for orb in orbits:
             values = {counts[member] for member in orb.members}
             if len(values) != 1:
@@ -109,49 +147,39 @@ def run_census(
                         f"enumerated {want}"
                     )
 
-    by_rep = _registry_by_rep()
-    rows = []
+    by_rep: dict[int, list[EntryCheck]] = {}
+    for check in _check_registry(per_order, n_max):
+        by_rep.setdefault(check.entry.canonical.mask, []).append(check)
+    class_ids: dict[tuple[int, ...], int] = {}
+    records = []
     for orbit_id, orb in enumerate(orbits):
         rep_mask = orb.representative.mask
         seq = tuple(sequences[rep_mask])
-        entries = by_rep.get(rep_mask, [])
-        names = tuple(e.name for e in entries)
-        formula_ids = tuple(dict.fromkeys(e.formula for e in entries))
-        details = []
-        for e in entries:
-            for n in range(e.min_n, n_max + 1):
-                expected = eval_formula(e.formula, n)
-                if expected != seq[n]:
-                    details.append(
-                        f"{e.name}/{e.formula} at n={n}: "
-                        f"formula {expected}, enumerated {seq[n]}"
-                    )
-        if not entries:
+        checks = by_rep.get(rep_mask, [])
+        details = tuple(
+            f"{c.entry.name}/{c.entry.formula} at {m}"
+            for c in checks
+            for m in c.mismatches
+        )
+        if not checks:
             verification = ENUMERATION_ONLY
         elif details:
             verification = MISMATCH
         else:
             verification = VERIFIED
-        rows.append(
-            dict(
+        records.append(
+            CensusRecord(
                 orbit_id=orbit_id,
                 representative=orb.representative,
-                paper_names=names,
+                paper_names=tuple(c.entry.name for c in checks),
                 members=tuple(sorted(orb.members, key=lambda s: s.mask)),
                 sequence=seq,
-                formula_ids=formula_ids,
+                formula_ids=tuple(dict.fromkeys(c.entry.formula for c in checks)),
                 verification=verification,
-                verification_details=tuple(details),
+                wilf_class=class_ids.setdefault(seq, len(class_ids)),
+                verification_details=details,
             )
         )
-
-    class_ids: dict[tuple[int, ...], int] = {}
-    records = []
-    for row in rows:
-        seq = row["sequence"]
-        if seq not in class_ids:
-            class_ids[seq] = len(class_ids)
-        records.append(CensusRecord(wilf_class=class_ids[seq], **row))
 
     return CensusTable(n_max, records, {"version": __version__})
 
@@ -162,18 +190,6 @@ def wilf_classes(table: CensusTable) -> tuple[tuple[int, ...], ...]:
     for rec in sorted(table.records, key=lambda r: r.orbit_id):
         groups.setdefault(rec.sequence, []).append(rec.orbit_id)
     return tuple(tuple(ids) for ids in groups.values())
-
-
-@dataclass(frozen=True)
-class EntryCheck:
-    """Outcome of checking one registry entry against enumeration."""
-
-    entry: RegistryEntry
-    first_n: int
-    last_n: int
-    status: str
-    mismatches: tuple[str, ...]
-    holds_below: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -218,34 +234,8 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     The superseded historical claims are recomputed and shown to disagree
     with enumeration at their witness orders.
     """
-    check_cap(n_max, cap)
     per_order = transfer_all_orders(n_max, cap=cap)
-
-    checks = []
-    for entry in registry():
-        mismatches = []
-        holds_below = []
-        for n in range(n_max + 1):
-            enumerated = per_order[n][entry.patterns]
-            expected = eval_formula(entry.formula, n)
-            if n < entry.min_n:
-                if expected == enumerated:
-                    holds_below.append(n)
-            elif expected != enumerated:
-                mismatches.append(
-                    f"n={n}: formula {expected}, enumerated {enumerated}"
-                )
-        status = MISMATCH if mismatches else VERIFIED
-        checks.append(
-            EntryCheck(
-                entry=entry,
-                first_n=entry.min_n,
-                last_n=n_max,
-                status=status,
-                mismatches=tuple(mismatches),
-                holds_below=tuple(holds_below),
-            )
-        )
+    checks = _check_registry(per_order, n_max)
 
     superseded = []
     for text, description, value_fn, witness_n in _SUPERSEDED:
@@ -262,7 +252,7 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
             )
         )
 
-    return VerificationReport(n_max, tuple(checks), tuple(superseded))
+    return VerificationReport(n_max, checks, tuple(superseded))
 
 
 def _pattern_set_to_json(ps: PatternSet) -> list[list[int]]:

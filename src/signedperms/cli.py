@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 import warnings
@@ -40,10 +39,6 @@ def _parse_patterns(text: str) -> PatternSet:
     return tset
 
 
-def _default_workers() -> int:
-    return os.cpu_count() or 1
-
-
 class _Timer:
     def __init__(self, enabled: bool):
         self.enabled = enabled
@@ -58,7 +53,7 @@ class _Timer:
 def _cmd_count(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
     timer = _Timer(args.timing)
-    result = count(args.n, tset, method=args.method, cap=args.cap, workers=args.threads)
+    result = count(args.n, tset, method=args.method, cap=args.cap)
     timer.report()
     if args.format == "json":
         doc = {
@@ -77,7 +72,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
     timer = _Timer(args.timing)
     values = [
-        count(n, tset, method=args.method, cap=args.cap, workers=args.threads).value
+        count(n, tset, method=args.method, cap=args.cap).value
         for n in range(args.n_max + 1)
     ]
     timer.report()
@@ -208,9 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="largest order allowed (default %(default)s)")
-        p.add_argument("--threads", type=int, default=_default_workers(),
-                       help="worker processes for --method mask; "
-                            "no effect on other methods or subcommands")
         p.add_argument("--timing", action="store_true",
                        help="print elapsed seconds to stderr")
         p.add_argument("--format", choices=formats, default=formats[0],

@@ -16,7 +16,7 @@ naive, backtrack and mask are kept as independent oracles and answer count
 and sequence.  naive and mask share nothing with transfer but the fixed
 pattern indexing, so agreement with them is strong evidence of correctness;
 backtrack and transfer share the extension tables.  Only mask uses numpy,
-imported when it first runs.
+imported when it first runs, and it runs in a single process.
 """
 
 from __future__ import annotations
@@ -301,28 +301,16 @@ def _histogram_block(
     return np.bincount(masks.reshape(-1), minlength=256)
 
 
-def _histogram_chunk(args: tuple[int, int, int]) -> np.ndarray:
-    import numpy as np
-
-    n, start, stop = args
-    block = list(
-        itertools.islice(itertools.permutations(range(1, n + 1)), start, stop)
-    )
-    return _histogram_block(np.array(block, dtype=np.int8), n, _pair_tables(n))
-
-
 def mask_histogram(
     n: int,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
     chunk_size: int | None = None,
 ) -> MaskHistogram:
     """One vectorized pass over B_n, bucketing words by containment mask.
 
-    Magnitude words stream in lexicographic chunks; each chunk is crossed
-    with all 2^n sign vectors in numpy, or-ing per-pair pattern bits into a
-    mask per word, then histogrammed.  workers > 1 splits chunks across
-    processes.
+    Magnitude words stream in lexicographic chunks, in this one process;
+    each chunk is crossed with all 2^n sign vectors in numpy, or-ing
+    per-pair pattern bits into a mask per word, then histogrammed.
     """
     import numpy as np
 
@@ -334,26 +322,14 @@ def mask_histogram(
     if chunk_size is None:
         # keep each boolean mask block around a few MB
         chunk_size = max(64, (1 << 22) >> n)
-    total_words = math.factorial(n)
     hist = np.zeros(256, dtype=np.int64)
-    if workers > 1 and total_words > chunk_size:
-        specs = [
-            (n, start, min(start + chunk_size, total_words))
-            for start in range(0, total_words, chunk_size)
-        ]
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_histogram_chunk, specs):
-                hist += part
-    else:
-        tables = _pair_tables(n)
-        stream = itertools.permutations(range(1, n + 1))
-        while True:
-            block = list(itertools.islice(stream, chunk_size))
-            if not block:
-                break
-            hist += _histogram_block(np.array(block, dtype=np.int8), n, tables)
+    tables = _pair_tables(n)
+    stream = itertools.permutations(range(1, n + 1))
+    while True:
+        block = list(itertools.islice(stream, chunk_size))
+        if not block:
+            break
+        hist += _histogram_block(np.array(block, dtype=np.int8), n, tables)
     counts = {m: int(c) for m, c in enumerate(hist.tolist()) if c}
     return MaskHistogram(n, counts)
 
@@ -370,8 +346,12 @@ def counts_all_subsets(
     so summing histogram buckets over subsets of the complement of T gives
     the count.  The sum-over-subsets transform does this for all T in
     8 * 256 additions on exact Python integers.
+
+    workers is accepted and ignored: the histogram runs in one process,
+    and the parameter stays only so that callers still passing it, such
+    as bench/golden.py, keep working.
     """
-    hist = histogram if histogram is not None else mask_histogram(n, cap, workers)
+    hist = histogram if histogram is not None else mask_histogram(n, cap)
     if hist.n != n:
         raise ValueError(f"histogram is for order {hist.n}, not {n}")
     f = [0] * 256
@@ -385,11 +365,9 @@ def counts_all_subsets(
     return {PatternSet(t): f[0xFF ^ t] for t in range(256)}
 
 
-def count_mask(
-    n: int, tset: PatternSet, cap: int = DEFAULT_CAP, workers: int = 1
-) -> CountResult:
+def count_mask(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
     """Count avoiders of one set via the histogram route."""
-    value = counts_all_subsets(n, cap, workers)[tset]
+    value = counts_all_subsets(n, cap)[tset]
     return CountResult(n, tset, value, MASK)
 
 
@@ -398,7 +376,6 @@ def count(
     tset: PatternSet,
     method: str = BACKTRACK,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> CountResult:
     """Dispatch to one of the three engines by name."""
     if method == NAIVE:
@@ -406,5 +383,5 @@ def count(
     if method == BACKTRACK:
         return count_backtrack(n, tset, cap)
     if method == MASK:
-        return count_mask(n, tset, cap, workers)
+        return count_mask(n, tset, cap)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

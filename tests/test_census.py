@@ -167,6 +167,13 @@ class TestVerifyRegistry:
         bad = [c for c in report.checks if c.status == "mismatch"]
         assert bad[0].entry.name == "T_7"
         assert bad[0].mismatches
+        # the census reads the same checks: T_7's orbit fails with the
+        # same mismatches, prefixed by entry name and formula
+        (rec,) = [r for r in run_census(3).records if "T_7" in r.paper_names]
+        assert rec.verification == "mismatch"
+        assert rec.verification_details == tuple(
+            f"T_7/EQ11 at {m}" for m in bad[0].mismatches
+        )
 
 
 class TestSerialization:

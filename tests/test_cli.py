@@ -298,6 +298,23 @@ class TestGolden:
             ("census_n6.csv", ("census", "--n-max", "6", "--format", "csv")),
             ("verify_n6.txt", ("verify", "--n-max", "6")),
             ("verify_n6.json", ("verify", "--n-max", "6", "--format", "json")),
+            ("count_n5.txt", ("count", "--patterns", "1 2, -2 1", "--n", "5")),
+            ("count_n5.json",
+             ("count", "--patterns", "1 2, -2 1", "--n", "5", "--format", "json")),
+            ("count_mask_n5.json",
+             ("count", "--patterns", "1 2, -2 1", "--n", "5",
+              "--method", "mask", "--format", "json")),
+            ("sequence_n6.txt",
+             ("sequence", "--patterns", "1 2, 1 -2, -1 -2", "--n-max", "6")),
+            ("sequence_n6.json",
+             ("sequence", "--patterns", "1 2, 1 -2, -1 -2", "--n-max", "6",
+              "--format", "json")),
+            ("sequence_n6.csv",
+             ("sequence", "--patterns", "1 2, 1 -2, -1 -2", "--n-max", "6",
+              "--format", "csv")),
+            ("orbits.txt", ("orbits",)),
+            ("orbits.json", ("orbits", "--format", "json")),
+            ("orbits.csv", ("orbits", "--format", "csv")),
         ],
     )
     def test_bytes(self, capsys, name, argv):
@@ -337,5 +354,10 @@ class TestImports:
             "code = cli.main(['count', '--method', 'mask',"
             " '--patterns', '1 2', '--n', '6'])\n"
             "print(code, 'numpy' in sys.modules)\n"
+            # 8! magnitude words exceed the default chunk at n=8, where a
+            # process pool used to split them; the oracle starts none
+            "code = cli.main(['count', '--method', 'mask',"
+            " '--patterns', '1 2', '--n', '8'])\n"
+            "print(code, 'concurrent.futures.process' not in sys.modules)\n"
         )
-        assert out == "13327\n0 True\n"
+        assert out == "13327\n0 True\n1441729\n0 True\n"

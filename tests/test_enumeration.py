@@ -116,9 +116,7 @@ class TestMaskHistogram:
         default = mask_histogram(4)
         assert mask_histogram(4, chunk_size=7).counts == default.counts
         assert mask_histogram(4, chunk_size=1).counts == default.counts
-
-    def test_worker_split_is_invisible(self):
-        assert mask_histogram(4, workers=2, chunk_size=8).counts == mask_histogram(4).counts
+        assert mask_histogram(4, chunk_size=8).counts == default.counts
 
     def test_count_for(self):
         h = mask_histogram(2)
