@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .core import DEFAULT_CAP, PatternSet
@@ -34,8 +34,7 @@ MISMATCH = "mismatch"
 ENUMERATION_ONLY = "enumeration_only"
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One orbit's row: membership, counts, and verification outcome.
 
     sequence[k] is the number of order-k signed permutations avoiding any
@@ -56,15 +55,33 @@ class CensusRecord:
     verification_details: tuple[str, ...] = ()
 
 
-@dataclass
 class CensusTable:
-    n_max: int
-    records: list[CensusRecord]
-    metadata: dict = field(default_factory=dict)
+    """A census: n_max, one record per orbit, and a metadata object."""
+
+    __slots__ = ("n_max", "records", "metadata")
+
+    def __init__(
+        self, n_max: int, records: list[CensusRecord], metadata: dict | None = None
+    ) -> None:
+        self.n_max = n_max
+        self.records = records
+        self.metadata = {} if metadata is None else metadata
+
+    def __repr__(self) -> str:
+        return (
+            f"CensusTable(n_max={self.n_max!r}, records={self.records!r}, "
+            f"metadata={self.metadata!r})"
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.n_max, self.records, self.metadata) == (
+                other.n_max, other.records, other.metadata
+            )
+        return NotImplemented
 
 
-@dataclass(frozen=True)
-class EntryCheck:
+class EntryCheck(NamedTuple):
     """Outcome of checking one registry entry against enumeration."""
 
     entry: RegistryEntry
@@ -192,8 +209,7 @@ def wilf_classes(table: CensusTable) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(ids) for ids in groups.values())
 
 
-@dataclass(frozen=True)
-class SupersededClaim:
+class SupersededClaim(NamedTuple):
     """A historically claimed count shown wrong by direct enumeration."""
 
     patterns: PatternSet
@@ -203,8 +219,7 @@ class SupersededClaim:
     enumerated: int
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     n_max: int
     checks: tuple[EntryCheck, ...]
     superseded: tuple[SupersededClaim, ...]

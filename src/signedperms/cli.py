@@ -22,7 +22,6 @@ from .census import (
     load_cache,
     run_census,
     verify_registry,
-    write_cache,
 )
 from .core import DEFAULT_CAP, CapExceededError, PatternSet
 from .enumeration import BACKTRACK, METHODS, count
@@ -128,10 +127,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     timer = _Timer(args.timing)
     table = run_census(args.n_max, cap=args.cap, cache=cache)
     timer.report()
+    data = export(table, args.format)
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
-        write_cache(table, cache_path)
-    data = export(table, args.format)
+        cache_path.write_bytes(data if args.format == "json" else export(table, "json"))
     if args.out:
         Path(args.out).write_bytes(data)
     else:

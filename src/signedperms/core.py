@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import total_ordering
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 DEFAULT_CAP = 9
 
@@ -117,8 +117,7 @@ _PATTERN_LETTERS = (
 )
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """One of the eight length-2 signed patterns, with its fixed index."""
 
     index: int
@@ -162,20 +161,47 @@ def pattern_of(letters: Sequence[int]) -> Pattern:
     return p
 
 
-@dataclass(frozen=True, order=True)
+@total_ordering
 class PatternSet:
     """A subset of the eight patterns, stored as an 8-bit mask.
 
     Bit i is set when the pattern with index i belongs to the set.  The
     integer mask doubles as a canonical encoding: histogram buckets and
-    subset-lattice transforms index arrays by it directly.
+    subset-lattice transforms index arrays by it directly.  Instances are
+    immutable and compare, hash and order by mask.
     """
 
-    mask: int = 0
+    __slots__ = ("mask",)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask <= 0xFF:
-            raise ValueError(f"mask out of range: {self.mask}")
+    def __init__(self, mask: int = 0) -> None:
+        if not 0 <= mask <= 0xFF:
+            raise ValueError(f"mask out of range: {mask}")
+        object.__setattr__(self, "mask", mask)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"PatternSet is immutable; cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # the default reduction restores slots through __setattr__
+        return self.__class__, (self.mask,)
+
+    def __repr__(self) -> str:
+        return f"PatternSet(mask={self.mask!r})"
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask == other.mask
+        return NotImplemented
+
+    def __lt__(self, other: "PatternSet") -> bool:
+        if other.__class__ is self.__class__:
+            return self.mask < other.mask
+        return NotImplemented
 
     @classmethod
     def from_patterns(

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .core import (
     DEFAULT_CAP,
@@ -42,8 +42,7 @@ MASK = "mask"
 METHODS = (NAIVE, BACKTRACK, MASK)
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     n: int
     patterns: PatternSet
     value: int
@@ -193,19 +192,15 @@ def transfer_all_orders(
                 total *= 1 + (1 << (width << i))
         return total
 
-    done = ones(0)
     # added mask -> all-ones fields of the sets that a move adding it avoids
     keep = {added: ones(added) * field for added in {*ext_u, *ext_b}}
-    memo: dict[tuple[int, int, int, int, int], int] = {}
+    # (0; 0, 0, 0, 0) is the only state with k = 0, so completions, which
+    # callers run only after a memo miss, always sees k >= 1
+    memo: dict[tuple[int, int, int, int, int], int] = {(0, 0, 0, 0, 0): ones(0)}
+    get = memo.get
 
     def completions(state: tuple[int, int, int, int, int]) -> int:
-        vec = memo.get(state)
-        if vec is not None:
-            return vec
         k, lu, hu, lb, hb = state
-        if k == 0:
-            memo[state] = done
-            return done
         # sum the successors by added mask first, so each mask is applied
         # once per state, not once per move
         by_added: dict[int, int] = {}
@@ -214,11 +209,18 @@ def transfer_all_orders(
             # taking the j-th unused magnitude merges gaps j and j + 1
             lu2, hu2 = lu - (lu > j), hu - (hu > j)
             lb2, hb2 = lb - (lb > j), hb - (hb > j)
-            for nxt, added in (
-                ((k - 1, min(lu2, j), max(hu2, j), lb2, hb2), ext_u[s]),
-                ((k - 1, lu2, hu2, min(lb2, j), max(hb2, j)), ext_b[s]),
-            ):
-                by_added[added] = by_added.get(added, 0) + completions(nxt)
+            nxt = (k - 1, min(lu2, j), max(hu2, j), lb2, hb2)
+            vec = get(nxt)
+            if vec is None:
+                vec = completions(nxt)
+            added = ext_u[s]
+            by_added[added] = by_added.get(added, 0) + vec
+            nxt = (k - 1, lu2, hu2, min(lb2, j), max(hb2, j))
+            vec = get(nxt)
+            if vec is None:
+                vec = completions(nxt)
+            added = ext_b[s]
+            by_added[added] = by_added.get(added, 0) + vec
         vec = 0
         for added, acc in by_added.items():
             vec += acc & keep[added]
@@ -228,13 +230,15 @@ def transfer_all_orders(
     sets = [PatternSet(t) for t in range(256)]
     out = []
     for n in range(n_min, n_max + 1):
-        vec = completions((n, n, 0, n, 0))
+        start = (n, n, 0, n, 0)
+        vec = get(start)
+        if vec is None:
+            vec = completions(start)
         out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
     return out
 
 
-@dataclass(frozen=True)
-class MaskHistogram:
+class MaskHistogram(NamedTuple):
     """Frequencies of containment masks over all of B_n.
 
     counts maps an 8-bit mask to how many order-n signed permutations

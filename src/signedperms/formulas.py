@@ -10,10 +10,10 @@ by verification as informational notes, never as failures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb as binomial
 from math import factorial
+from typing import NamedTuple
 
 from .core import PatternSet
 from .symmetry import canonical_representative
@@ -213,8 +213,7 @@ def eval_formula(formula_id: str, n: int) -> int:
     return fn(n)
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     """One claimed identity: a named pattern set and its closed form.
 
     patterns is the set as classically written; canonical is its orbit

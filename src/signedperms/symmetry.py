@@ -15,9 +15,8 @@ of study: one representative per orbit suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import PATTERNS, Pattern, PatternSet, SignedPermutation
 
@@ -39,8 +38,7 @@ def complement(alpha: Sequence[int]) -> SignedPermutation:
     )
 
 
-@dataclass(frozen=True)
-class SymmetryElement:
+class SymmetryElement(NamedTuple):
     """A group element, recorded by which generators it applies."""
 
     use_reversal: bool = False
@@ -132,8 +130,7 @@ def group_elements() -> frozenset[SymmetryElement]:
     return frozenset(seen.values())
 
 
-@dataclass(frozen=True)
-class Orbit:
+class Orbit(NamedTuple):
     """An orbit of pattern sets under the symmetry group."""
 
     representative: PatternSet

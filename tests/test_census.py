@@ -1,7 +1,8 @@
 """Census records, formula verification, Wilf classes, serialization."""
 
-import dataclasses
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -125,7 +126,7 @@ class TestRunCensus:
         rec = tampered.records[5]
         seq = list(rec.sequence)
         seq[4] += 1
-        tampered.records[5] = dataclasses.replace(rec, sequence=tuple(seq))
+        tampered.records[5] = rec._replace(sequence=tuple(seq))
         with pytest.raises(SchemaError, match="orbit 5 .* at order 4"):
             run_census(6, cache=tampered)
         # only the orders the new table reuses are compared
@@ -186,6 +187,13 @@ class TestSerialization:
         assert loaded.metadata == table5.metadata
         # byte-for-byte stable through a full cycle
         assert export(loaded) == export(table5)
+
+    def test_pickle_and_deepcopy(self, table5):
+        for obj in (PatternSet(5), table5.records[5], table5):
+            for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert twin == obj and twin is not obj
+                assert type(twin) is type(obj)
+        assert export(pickle.loads(pickle.dumps(table5))) == export(table5)
 
     def test_export_deterministic(self, table5):
         assert export(table5) == export(run_census(5))

@@ -243,6 +243,22 @@ class TestCensus:
         assert "orbit 5" in err and "order 4" in err
         assert cache.read_bytes() == before
 
+    def test_cache_holds_the_json_output(self, capsys, tmp_path):
+        json_cache = tmp_path / "a.json"
+        code, out, _ = run(
+            capsys, "census", "--n-max", "4", "--cache", str(json_cache)
+        )
+        assert code == 0
+        assert json_cache.read_bytes() == out.encode()
+        csv_cache = tmp_path / "b.json"
+        code, out, _ = run(
+            capsys, "census", "--n-max", "4", "--format", "csv",
+            "--cache", str(csv_cache),
+        )
+        assert code == 0
+        assert out.startswith("orbit_id,")
+        assert csv_cache.read_bytes() == json_cache.read_bytes()
+
     def test_timing_only_on_stderr(self, capsys):
         plain = run(capsys, "census", "--n-max", "4")
         timed = run(capsys, "census", "--n-max", "4", "--timing")
@@ -343,9 +359,10 @@ class TestImports:
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['census', '--n-max', '5'])\n"
             "print(code, 'numpy' in sys.modules,"
-            " 'concurrent.futures.process' in sys.modules)\n"
+            " 'concurrent.futures.process' in sys.modules,"
+            " 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         )
-        assert out == "0 False False\n"
+        assert out == "0 False False False False\n"
 
     def test_mask_method_imports_numpy_lazily(self):
         out = run_fresh(

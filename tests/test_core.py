@@ -174,10 +174,28 @@ class TestPatternSet:
             PatternSet(256)
         with pytest.raises(ValueError):
             PatternSet(-1)
+        ps = PatternSet(5)
+        with pytest.raises(AttributeError):
+            ps.mask = 6
+        assert ps.mask == 5
+        assert repr(ps) == "PatternSet(mask=5)"
+        assert ps == PatternSet(mask=5) and hash(ps) == hash(PatternSet(5))
 
     def test_ordering_by_mask(self):
         assert PatternSet(3) < PatternSet(4)
+        assert PatternSet(3) <= PatternSet(3) <= PatternSet(4)
+        assert PatternSet(4) > PatternSet(3)
+        assert PatternSet(4) >= PatternSet(4) >= PatternSet(3)
+        assert not PatternSet(4) < PatternSet(3)
         assert sorted([PatternSet(9), PatternSet(2)])[0].mask == 2
+        for compare in (
+            lambda a, b: a < b,
+            lambda a, b: a <= b,
+            lambda a, b: a > b,
+            lambda a, b: a >= b,
+        ):
+            with pytest.raises(TypeError):
+                compare(PatternSet(3), 4)
 
 
 class TestContainment:
