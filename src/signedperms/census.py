@@ -12,9 +12,8 @@ against re-derived counts, never trusted, before a census extends it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import NamedTuple
 
@@ -96,14 +95,17 @@ def _check_registry(
     per_order: list[dict[PatternSet, int]], n_max: int
 ) -> tuple[EntryCheck, ...]:
     # the one place formulas meet counts: each registry entry, in registry
-    # order, against per_order[n] for n = 0..n_max
+    # order, against per_order[n] for n = 0..n_max; each formula id is
+    # evaluated once per order and call, however many entries share it
+    ids = dict.fromkeys(entry.formula for entry in registry())
+    values = {f: [eval_formula(f, n) for n in range(n_max + 1)] for f in ids}
     checks = []
     for entry in registry():
         mismatches = []
         holds_below = []
         for n in range(n_max + 1):
             enumerated = per_order[n][entry.patterns]
-            expected = eval_formula(entry.formula, n)
+            expected = values[entry.formula][n]
             if n < entry.min_n:
                 if expected == enumerated:
                     holds_below.append(n)
@@ -133,9 +135,9 @@ def run_census(
 
     All orders come from one transfer-engine pass.  Sequences are checked
     for agreement across each orbit before being recorded.  A cache is
-    never trusted: every cached order up to n_max must equal the
-    re-derived count, or SchemaError names the first orbit and order
-    that disagree.
+    never trusted: SchemaError is raised unless it is from this version (if
+    it says), holds one record per orbit, in orbit order, with its id and
+    members, and equals the recount at every cached order up to n_max.
     """
     per_order = transfer_all_orders(n_max, cap=cap)
     orbits = all_orbits()
@@ -148,21 +150,6 @@ def run_census(
                     f"orbit of {orb.representative} has unequal counts at order {n}"
                 )
             sequences[orb.representative.mask].append(values.pop())
-
-    if cache is not None:
-        cached = {rec.representative.mask: rec.sequence for rec in cache.records}
-        if set(cached) != set(sequences):
-            raise SchemaError("cache does not list the expected orbit representatives")
-        for orbit_id, orb in enumerate(orbits):
-            rep = orb.representative
-            for n in range(min(cache.n_max, n_max) + 1):
-                got, want = cached[rep.mask][n], sequences[rep.mask][n]
-                if got != want:
-                    raise SchemaError(
-                        f"cache disagrees with enumeration for orbit {orbit_id} "
-                        f"{{{rep.text()}}} at order {n}: cached {got}, "
-                        f"enumerated {want}"
-                    )
 
     by_rep: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(per_order, n_max):
@@ -197,6 +184,26 @@ def run_census(
                 verification_details=details,
             )
         )
+
+    if cache is not None:
+        version = cache.metadata.get("version", __version__)
+        if version != __version__:
+            raise SchemaError(f"cache is from version {version}, not {__version__}")
+        identity = [(r.orbit_id, r.representative, r.members) for r in records]
+        if [(r.orbit_id, r.representative, r.members) for r in cache.records] != identity:
+            raise SchemaError(
+                "cache does not hold one record per orbit, in orbit order, with "
+                "that orbit's id, representative and members"
+            )
+        for rec, fresh in zip(cache.records, records):
+            for n in range(min(cache.n_max, n_max) + 1):
+                got, want = rec.sequence[n], fresh.sequence[n]
+                if got != want:
+                    raise SchemaError(
+                        f"cache disagrees with enumeration for orbit {rec.orbit_id} "
+                        f"{{{rec.representative.text()}}} at order {n}: cached {got}, "
+                        f"enumerated {want}"
+                    )
 
     return CensusTable(n_max, records, {"version": __version__})
 
@@ -270,10 +277,6 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     return VerificationReport(n_max, checks, tuple(superseded))
 
 
-def _pattern_set_to_json(ps: PatternSet) -> list[list[int]]:
-    return [list(p.letters) for p in ps]
-
-
 def _pattern_set_from_json(data) -> PatternSet:
     if not isinstance(data, list):
         raise SchemaError(f"pattern set must be a list, got {type(data).__name__}")
@@ -283,32 +286,56 @@ def _pattern_set_from_json(data) -> PatternSet:
         raise SchemaError(f"bad pattern set {data!r}: {exc}") from None
 
 
-def _record_to_json(rec: CensusRecord) -> dict:
-    out = {
-        "orbit_id": rec.orbit_id,
-        "representative": _pattern_set_to_json(rec.representative),
-        "paper_names": list(rec.paper_names),
-        "members": [_pattern_set_to_json(m) for m in rec.members],
-        "sequence": [str(v) for v in rec.sequence],
-        "formula_ids": list(rec.formula_ids),
-        "verification": rec.verification,
-        "wilf_class": rec.wilf_class,
-    }
+def _json_list(items: list[str], pad: str) -> str:
+    # a JSON array of encoded items, laid out as json.dumps(indent=2) lays
+    # it out when its opening bracket sits on a line indented by pad
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def _set_json(mask: int, pad: str) -> str:
+    # a pattern set is a list of two-letter lists
+    inner = pad + "    "
+    letters = [p.letters for p in PatternSet(mask)]
+    return _json_list([f"[\n{inner}{x},\n{inner}{y}\n{pad}  ]" for x, y in letters], pad)
+
+
+def _record_json(rec: CensusRecord) -> str:
+    pad = "      "
+    fields = [
+        f'"orbit_id": {rec.orbit_id}',
+        '"representative": ' + _set_json(rec.representative.mask, pad),
+        '"paper_names": ' + _json_list([_str(s) for s in rec.paper_names], pad),
+        '"members": '
+        + _json_list([_set_json(m.mask, pad + "  ") for m in rec.members], pad),
+        '"sequence": ' + _json_list([f'"{v}"' for v in rec.sequence], pad),
+        '"formula_ids": ' + _json_list([_str(s) for s in rec.formula_ids], pad),
+        '"verification": ' + _str(rec.verification),
+        f'"wilf_class": {rec.wilf_class}',
+    ]
     if rec.verification_details:
-        out["verification_details"] = list(rec.verification_details)
-    return out
+        details = _json_list([_str(s) for s in rec.verification_details], pad)
+        fields.append('"verification_details": ' + details)
+    return "{\n" + pad + (",\n" + pad).join(fields) + "\n    }"
 
 
 def export(table: CensusTable, format: str = "json") -> bytes:
     """Serialize a census deterministically, as JSON or CSV."""
     if format == "json":
-        doc = {
-            "n_max": table.n_max,
-            "records": [_record_to_json(r) for r in table.records],
-            "metadata": table.metadata,
-        }
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        # the bytes of json.dumps(doc, indent=2) + "\n", written directly:
+        # with an indent, json.dumps runs its slow pure-Python encoder
+        records = _json_list([_record_json(r) for r in table.records], "  ")
+        metadata = json.dumps(table.metadata, indent=2).replace("\n", "\n  ")
+        return (
+            f'{{\n  "n_max": {table.n_max},\n  "records": {records},\n'
+            f'  "metadata": {metadata}\n}}\n'
+        ).encode()
     if format == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         header = (
@@ -347,16 +374,7 @@ def load_cache(path: str | Path) -> CensusTable:
     records = []
     for raw in raw_records:
         _require(isinstance(raw, dict), "each record must be an object")
-        for key in (
-            "orbit_id",
-            "representative",
-            "paper_names",
-            "members",
-            "sequence",
-            "formula_ids",
-            "verification",
-            "wilf_class",
-        ):
+        for key in CensusRecord._fields[:-1]:  # verification_details is optional
             _require(key in raw, f"record missing key {key!r}")
         sequence = raw["sequence"]
         _require(
@@ -372,7 +390,7 @@ def load_cache(path: str | Path) -> CensusTable:
             f"unknown verification value {raw['verification']!r}",
         )
         _require(
-            isinstance(raw["orbit_id"], int) and isinstance(raw["wilf_class"], int),
+            type(raw["orbit_id"]) is int and type(raw["wilf_class"]) is int,
             "orbit_id and wilf_class must be ints",
         )
         records.append(

@@ -169,10 +169,10 @@ def transfer_all_orders(
     for T in bits [W*T, W*(T+1)) with W the bit length of 2^n_max n_max!.
     A state with k unused magnitudes has 2^k k! completions in all, and
     every count, and every partial sum of its successors' counts, is at
-    most that, so no field ever overflows into the next: summing
-    successors is one integer addition, and dropping the sets a move
-    violates is one AND with a mask of all-ones fields.  Unpacked counts
-    are exact Python integers.
+    most that, so no field ever overflows into the next: successors are
+    summed by integer addition, and the sets that moves violate are dropped
+    by one AND with a mask of all-ones fields per run of moves sharing a
+    summary and bar.  Unpacked counts are exact Python integers.
     """
     check_cap(n_max, cap)
     if n_min < 0:
@@ -192,38 +192,37 @@ def transfer_all_orders(
                 total *= 1 + (1 << (width << i))
         return total
 
-    # added mask -> all-ones fields of the sets that a move adding it avoids
-    keep = {added: ones(added) * field for added in {*ext_u, *ext_b}}
+    # keep[s] (unbarred move) and keep[16 + s] (barred move): all-ones
+    # fields of the sets that a move with summary s avoids
+    keep = [ones(added) * field for added in ext_u + ext_b]
     # (0; 0, 0, 0, 0) is the only state with k = 0, so completions, which
-    # callers run only after a memo miss, always sees k >= 1
+    # callers run only after a memo miss, always sees k >= 1; no vector is
+    # 0, since the empty set's field counts every completion
     memo: dict[tuple[int, int, int, int, int], int] = {(0, 0, 0, 0, 0): ones(0)}
     get = memo.get
 
     def completions(state: tuple[int, int, int, int, int]) -> int:
         k, lu, hu, lb, hb = state
-        # sum the successors by added mask first, so each mask is applied
-        # once per state, not once per move
-        by_added: dict[int, int] = {}
-        for j in range(k):
-            s = (lu <= j) | (hu > j) << 1 | (lb <= j) << 2 | (hb > j) << 3
-            # taking the j-th unused magnitude merges gaps j and j + 1
-            lu2, hu2 = lu - (lu > j), hu - (hu > j)
-            lb2, hb2 = lb - (lb > j), hb - (hb > j)
-            nxt = (k - 1, min(lu2, j), max(hu2, j), lb2, hb2)
-            vec = get(nxt)
-            if vec is None:
-                vec = completions(nxt)
-            added = ext_u[s]
-            by_added[added] = by_added.get(added, 0) + vec
-            nxt = (k - 1, lu2, hu2, min(lb2, j), max(hb2, j))
-            vec = get(nxt)
-            if vec is None:
-                vec = completions(nxt)
-            added = ext_b[s]
-            by_added[added] = by_added.get(added, 0) + vec
+        k1, hu1, hb1 = k - 1, hu - 1, hb - 1
         vec = 0
-        for added, acc in by_added.items():
-            vec += acc & keep[added]
+        # the four gap indices cut the unused magnitudes j = 0..k-1 into
+        # intervals [a, b) on which j compares with each index as a does, so
+        # the summary s and the shape of both successors are fixed there:
+        # sum an interval's successors first and apply its two keep masks
+        # once; fields never carry, so (x + y) & K == (x & K) + (y & K)
+        cuts = sorted({0, k, lu, hu, lb, hb})
+        for a, b in zip(cuts, cuts[1:]):
+            A, B, C, D = a < lu, a < hu, a < lb, a < hb
+            s = (not A) | B << 1 | (not C) << 2 | D << 3
+            # taking the j-th unused magnitude merges gaps j and j + 1
+            ulb, uhb, blu, bhu = lb - C, hb - D, lu - A, hu - B
+            acc_u = acc_b = 0
+            for j in range(a, b):
+                nxt = (k1, j if A else lu, hu1 if B else j, ulb, uhb)
+                acc_u += get(nxt) or completions(nxt)
+                nxt = (k1, blu, bhu, j if C else lb, hb1 if D else j)
+                acc_b += get(nxt) or completions(nxt)
+            vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
         memo[state] = vec
         return vec
 
@@ -231,9 +230,7 @@ def transfer_all_orders(
     out = []
     for n in range(n_min, n_max + 1):
         start = (n, n, 0, n, 0)
-        vec = get(start)
-        if vec is None:
-            vec = completions(start)
+        vec = get(start) or completions(start)
         out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
     return out
 

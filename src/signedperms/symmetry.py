@@ -78,14 +78,18 @@ def apply_to_pattern(g: SymmetryElement, p: Pattern) -> Pattern:
     return PATTERNS[_action_table(g)[p.index]]
 
 
+@cache
+def _set_images(g: SymmetryElement) -> tuple[int, ...]:
+    # the image mask of each of the 256 sets under g: after step i, img
+    # covers the masks below 2^(i+1), and adding pattern i adds its image
+    img = [0]
+    for i in _action_table(g):
+        img += [m | 1 << i for m in img]
+    return tuple(img)
+
+
 def apply_to_set(g: SymmetryElement, tset: PatternSet) -> PatternSet:
-    table = _action_table(g)
-    out = 0
-    m = tset.mask
-    for i in range(8):
-        if m >> i & 1:
-            out |= 1 << table[i]
-    return PatternSet(out)
+    return PatternSet(_set_images(g)[tset.mask])
 
 
 @cache
@@ -141,15 +145,21 @@ class Orbit(NamedTuple):
         return len(self.members)
 
 
+@cache
+def _group_images() -> tuple[tuple[int, ...], ...]:
+    return tuple(_set_images(g) for g in group_elements())
+
+
 def orbit_of_set(tset: PatternSet) -> Orbit:
-    members = frozenset(apply_to_set(g, tset) for g in group_elements())
-    rep = min(members, key=lambda s: s.mask)
-    return Orbit(rep, members)
+    m = tset.mask
+    images = {img[m] for img in _group_images()}
+    return Orbit(PatternSet(min(images)), frozenset(map(PatternSet, images)))
 
 
 def canonical_representative(tset: PatternSet) -> PatternSet:
     """The orbit member with the smallest mask."""
-    return orbit_of_set(tset).representative
+    m = tset.mask
+    return PatternSet(min(img[m] for img in _group_images()))
 
 
 @cache

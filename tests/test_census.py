@@ -7,6 +7,7 @@ import pickle
 import pytest
 
 from signedperms import (
+    CensusTable,
     PatternSet,
     SchemaError,
     all_orbits,
@@ -132,6 +133,48 @@ class TestRunCensus:
         # only the orders the new table reuses are compared
         assert run_census(3, cache=tampered).records == run_census(3).records
 
+    def test_cache_with_duplicate_record(self):
+        # a tampered copy of record 5 put first used to be hidden by the
+        # later, correct copy
+        cache = run_census(5)
+        rec = cache.records[5]
+        seq = list(rec.sequence)
+        seq[4] += 1
+        cache.records.insert(0, rec._replace(sequence=tuple(seq)))
+        assert len(cache.records) == 59
+        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
+            run_census(6, cache=cache)
+
+    def test_cache_with_wrong_orbit_id(self):
+        cache = run_census(3)
+        fresh = cache.records[:]
+        cache.records[5] = cache.records[5]._replace(orbit_id=6)
+        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
+            run_census(4, cache=cache)
+        # right ids, wrong order
+        cache.records = fresh[:5] + fresh[6:7] + fresh[5:6] + fresh[7:]
+        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
+            run_census(4, cache=cache)
+
+    def test_cache_with_wrong_members(self):
+        cache = run_census(3)
+        rec = cache.records[5]
+        cache.records[5] = rec._replace(members=rec.members[:-1])
+        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
+            run_census(4, cache=cache)
+        cache.records[5] = rec._replace(members=rec.members[::-1])
+        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
+            run_census(4, cache=cache)
+
+    def test_cache_from_another_version(self):
+        cache = run_census(3)
+        cache.metadata["version"] = "0.0.0"
+        with pytest.raises(SchemaError, match="from version 0.0.0"):
+            run_census(4, cache=cache)
+        # a cache that does not say its version is still accepted
+        del cache.metadata["version"]
+        assert run_census(4, cache=cache).records == run_census(4).records
+
 
 class TestVerifyRegistry:
     def test_clean(self):
@@ -142,6 +185,12 @@ class TestVerifyRegistry:
         for check in report.checks:
             assert check.status == "verified"
             assert check.mismatches == ()
+
+    def test_clean_to_order_16(self):
+        report = verify_registry(16, cap=16)
+        assert len(report.checks) == 67
+        assert [c.entry.name for c in report.checks if c.mismatches] == []
+        assert report.ok()
 
     def test_superseded_claims_are_refuted(self):
         report = verify_registry(3)
@@ -187,6 +236,62 @@ class TestSerialization:
         assert loaded.metadata == table5.metadata
         # byte-for-byte stable through a full cycle
         assert export(loaded) == export(table5)
+
+    @staticmethod
+    def reference_json(table):
+        # the document the JSON writer stands for, encoded by json.dumps
+        def pattern_set(ps):
+            return [list(p.letters) for p in ps]
+
+        records = []
+        for rec in table.records:
+            out = {
+                "orbit_id": rec.orbit_id,
+                "representative": pattern_set(rec.representative),
+                "paper_names": list(rec.paper_names),
+                "members": [pattern_set(m) for m in rec.members],
+                "sequence": [str(v) for v in rec.sequence],
+                "formula_ids": list(rec.formula_ids),
+                "verification": rec.verification,
+                "wilf_class": rec.wilf_class,
+            }
+            if rec.verification_details:
+                out["verification_details"] = list(rec.verification_details)
+            records.append(out)
+        doc = {"n_max": table.n_max, "records": records, "metadata": table.metadata}
+        return (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_json_matches_json_dumps_with_details(self, monkeypatch):
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ11", lambda n: n * n + 2)
+        table = run_census(4)
+        assert any(r.verification_details for r in table.records)
+        assert export(table) == self.reference_json(table)
+
+    def test_json_matches_json_dumps_on_escaped_strings(self, table5, tmp_path):
+        table = copy.deepcopy(table5)
+        odd = ('say "hi"', "back\\slash", "caf\u00e9 \u2013 \U0001d4b2", "tab\tnew\nline")
+        table.records[3] = table.records[3]._replace(
+            paper_names=odd, formula_ids=odd[::-1], verification_details=odd
+        )
+        table.records[4] = table.records[4]._replace(paper_names=(), formula_ids=())
+        data = export(table)
+        assert data == self.reference_json(table)
+        assert data.isascii()
+        path = tmp_path / "census.json"
+        path.write_bytes(data)
+        assert load_cache(path).records == table.records
+
+    def test_json_matches_json_dumps_on_nested_metadata(self, table5):
+        table = copy.deepcopy(table5)
+        table.metadata = {
+            "version": "0.1.0",
+            "run": {"orders": [0, 1, {"deep": [None, True, 1.5]}], "empty": {}},
+            "none": [],
+            "note": 'quote " and \u00fc',
+        }
+        assert export(table) == self.reference_json(table)
+        empty = CensusTable(0, [], {})
+        assert export(empty) == self.reference_json(empty)
 
     def test_pickle_and_deepcopy(self, table5):
         for obj in (PatternSet(5), table5.records[5], table5):

@@ -243,6 +243,24 @@ class TestCensus:
         assert "orbit 5" in err and "order 4" in err
         assert cache.read_bytes() == before
 
+    def test_duplicate_record_cache_exit_2(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        assert run(capsys, "census", "--n-max", "6", "--cache", str(cache))[0] == 0
+        doc = json.loads(cache.read_text())
+        record = json.loads(json.dumps(doc["records"][5]))
+        record["sequence"][4] = str(int(record["sequence"][4]) + 1)
+        doc["records"].insert(0, record)
+        cache.write_text(json.dumps(doc, indent=2) + "\n")
+        before = cache.read_bytes()
+
+        code, out, err = run(
+            capsys, "census", "--n-max", "7", "--cache", str(cache)
+        )
+        assert code == 2
+        assert out == ""
+        assert "one record per orbit" in err
+        assert cache.read_bytes() == before
+
     def test_cache_holds_the_json_output(self, capsys, tmp_path):
         json_cache = tmp_path / "a.json"
         code, out, _ = run(
@@ -363,6 +381,16 @@ class TestImports:
             " 'dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
         )
         assert out == "0 False False False False\n"
+
+    def test_json_census_loads_no_csv(self):
+        out = run_fresh(
+            "import contextlib, io, sys\n"
+            "import signedperms.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['census', '--n-max', '3'])\n"
+            "print(code, 'csv' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        assert out == "0 False False\n"
 
     def test_mask_method_imports_numpy_lazily(self):
         out = run_fresh(
