@@ -23,8 +23,8 @@ from .census import (
     run_census,
     verify_registry,
 )
-from .core import DEFAULT_CAP, CapExceededError, PatternSet
-from .enumeration import BACKTRACK, METHODS, count
+from .core import DEFAULT_CAP, CapExceededError, PatternSet, check_cap
+from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
 from .symmetry import all_orbits
 
 
@@ -69,11 +69,16 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
+    # every engine rejects the order range before any order is counted
+    check_cap(args.n_max, args.cap)
     timer = _Timer(args.timing)
-    values = [
-        count(n, tset, method=args.method, cap=args.cap).value
-        for n in range(args.n_max + 1)
-    ]
+    if args.method == TRANSFER:
+        values = [per[tset] for per in transfer_all_orders(args.n_max, args.cap)]
+    else:
+        values = [
+            count(n, tset, method=args.method, cap=args.cap).value
+            for n in range(args.n_max + 1)
+        ]
     timer.report()
     if args.format == "json":
         doc = {
@@ -211,21 +216,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--patterns", required=True,
                          help='comma-separated patterns, e.g. "1 2, -2 1"')
     p_count.add_argument("--n", type=int, required=True, help="order to count at")
-    p_count.add_argument("--method", choices=METHODS, default=BACKTRACK)
+    p_count.add_argument("--method", choices=METHODS, default=TRANSFER)
     common(p_count, ("plain", "json"))
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="count avoiders for all orders 0..n-max")
     p_seq.add_argument("--patterns", required=True)
     p_seq.add_argument("--n-max", type=int, required=True)
-    p_seq.add_argument("--method", choices=METHODS, default=BACKTRACK)
+    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER)
     common(p_seq, ("plain", "json", "csv"))
     p_seq.set_defaults(func=_cmd_sequence)
 
     p_orb = sub.add_parser("orbits", help="list symmetry orbits of pattern sets")
     p_orb.add_argument("--size", type=int, default=None,
                        help="only orbits whose sets have this many patterns")
-    common(p_orb, ("plain", "json", "csv"))
+    # orbits counts nothing, so it takes neither --cap nor --timing
+    p_orb.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
+                       help="output format (default %(default)s)")
     p_orb.set_defaults(func=_cmd_orbits)
 
     p_cen = sub.add_parser("census", help="sequences and verification for all orbits")

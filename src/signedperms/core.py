@@ -275,17 +275,7 @@ FULL_SET = PatternSet(0xFF)
 
 def contains(alpha: Sequence[int], tau: Pattern) -> bool:
     """Does alpha contain the pattern tau?"""
-    target = tau.index
-    letters = tuple(alpha)
-    table = _PAIR_INDEX
-    for i in range(len(letters) - 1):
-        x = letters[i]
-        xs = (x < 0) << 2
-        mx = abs(x)
-        for y in letters[i + 1 :]:
-            if table[xs | ((y < 0) << 1) | (mx < abs(y))] == target:
-                return True
-    return False
+    return not avoids(alpha, PatternSet(1 << tau.index))
 
 
 def containment_mask(alpha: Sequence[int]) -> PatternSet:

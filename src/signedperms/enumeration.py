@@ -2,21 +2,22 @@
 
     transfer   memoized gap-state generating tree: b_n(T) for all 256 sets
                and every order up to n_max in one pass, in time polynomial
-               in n_max; the core behind census and verify.  Each state's
-               256 counts are packed into fields of one Python int, wide
-               enough for 2^n_max n_max!, the most any count or partial
-               sum can reach, so fields never carry into each other
+               in n_max; the core behind every command that counts.  Each
+               state's 256 counts are packed into fields of one Python int,
+               wide enough for 2^n_max n_max!, the most any count or
+               partial sum can reach, so fields never carry into each other
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
     mask       vectorized histogram of containment masks over all of B_n,
                then a subset-lattice (zeta) transform that answers all 256
                pattern sets at one order
 
-naive, backtrack and mask are kept as independent oracles and answer count
-and sequence.  naive and mask share nothing with transfer but the fixed
-pattern indexing, so agreement with them is strong evidence of correctness;
-backtrack and transfer share the extension tables.  Only mask uses numpy,
-imported when it first runs, and it runs in a single process.
+naive, backtrack and mask are oracles: count and sequence run them only by
+name, and the tests check transfer against them.  naive and mask share
+nothing with transfer but the fixed pattern indexing, so agreement with
+them is strong evidence of correctness; backtrack and transfer share the
+extension tables.  Only mask uses numpy, imported when it first runs, and
+it runs in a single process.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .core import (
     pair_index,
 )
 
+TRANSFER = "transfer"
 NAIVE = "naive"
 BACKTRACK = "backtrack"
 MASK = "mask"
-METHODS = (NAIVE, BACKTRACK, MASK)
+METHODS = (TRANSFER, NAIVE, BACKTRACK, MASK)
 
 
 class CountResult(NamedTuple):
@@ -93,9 +95,9 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
 
     A prefix is summarized by two bitmasks of used magnitudes, unbarred and
     barred.  Each candidate letter is admitted iff the patterns it would
-    add are disjoint from the forbidden set; candidates are tried in
-    ascending letter order (-n .. -1, then 1 .. n).  Subtrees below a
-    rejected letter are never visited.
+    add are disjoint from the forbidden set.  Unused magnitudes are taken
+    in ascending order; each is summarized once and tried unbarred, then
+    barred.  Subtrees below a rejected letter are never visited.
     """
     check_cap(n, cap)
     if n == 0:
@@ -108,23 +110,6 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
     def grow(used_u: int, used_b: int, depth: int) -> int:
         used = used_u | used_b
         cnt = 0
-        for m in range(n, 0, -1):
-            bit = 1 << m
-            if used & bit:
-                continue
-            below = bit - 1
-            above = ~(bit | below)
-            s = (
-                (1 if used_u & below else 0)
-                | (2 if used_u & above else 0)
-                | (4 if used_b & below else 0)
-                | (8 if used_b & above else 0)
-            )
-            if not ext_b[s] & forbidden:
-                if depth == last:
-                    cnt += 1
-                else:
-                    cnt += grow(used_u, used_b | bit, depth + 1)
         for m in range(1, n + 1):
             bit = 1 << m
             if used & bit:
@@ -138,10 +123,9 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
                 | (8 if used_b & above else 0)
             )
             if not ext_u[s] & forbidden:
-                if depth == last:
-                    cnt += 1
-                else:
-                    cnt += grow(used_u | bit, used_b, depth + 1)
+                cnt += 1 if depth == last else grow(used_u | bit, used_b, depth + 1)
+            if not ext_b[s] & forbidden:
+                cnt += 1 if depth == last else grow(used_u, used_b | bit, depth + 1)
         return cnt
 
     return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
@@ -372,17 +356,31 @@ def count_mask(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
     return CountResult(n, tset, value, MASK)
 
 
+def _count_transfer(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
+    value = transfer_all_orders(n, cap, n_min=n)[0][tset]
+    return CountResult(n, tset, value, TRANSFER)
+
+
+_ENGINES = {
+    TRANSFER: _count_transfer,
+    NAIVE: count_naive,
+    BACKTRACK: count_backtrack,
+    MASK: count_mask,
+}
+
+
 def count(
     n: int,
     tset: PatternSet,
-    method: str = BACKTRACK,
+    method: str = TRANSFER,
     cap: int = DEFAULT_CAP,
 ) -> CountResult:
-    """Dispatch to one of the three engines by name."""
-    if method == NAIVE:
-        return count_naive(n, tset, cap)
-    if method == BACKTRACK:
-        return count_backtrack(n, tset, cap)
-    if method == MASK:
-        return count_mask(n, tset, cap)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    """Count order-n avoiders of tset with the engine named by method.
+
+    The default, transfer, reads order n from one pass of the all-sets
+    engine; naive, backtrack and mask are the oracles.
+    """
+    engine = _ENGINES.get(method)
+    if engine is None:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return engine(n, tset, cap)

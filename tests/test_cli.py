@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import signedperms
-from signedperms import formulas
+from signedperms import cli, formulas, transfer_all_orders
 from signedperms.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -45,7 +45,7 @@ class TestCount:
 
     def test_methods_agree(self, capsys):
         outs = set()
-        for method in ("naive", "backtrack", "mask"):
+        for method in ("transfer", "naive", "backtrack", "mask"):
             code, out, _ = run(
                 capsys,
                 "count", "--patterns", "1 2, -2 1", "--n", "4",
@@ -74,7 +74,7 @@ class TestCount:
         assert "cap" in err
 
     def test_raised_cap_allows_more(self, capsys):
-        # order 10 backtrack on the full set prunes immediately
+        # order 10 passes the cap once it is raised to 10
         code, out, _ = run(
             capsys,
             "count", "--patterns",
@@ -82,6 +82,14 @@ class TestCount:
             "--n", "10", "--cap", "10",
         )
         assert (code, out) == (0, "0\n")
+
+    def test_default_is_transfer_at_the_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "count", "--patterns", "1 2", "--n", "9", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["value"]) == ("transfer", "17572114")
 
     def test_usage_error_exit_2(self, capsys):
         assert run(capsys, "count", "--n", "2")[0] == 2
@@ -123,6 +131,31 @@ class TestSequence:
         assert doc["values"] == ["1", "2", "6", "20", "70", "252"]
         assert doc["method"] == "mask"
 
+    def test_default_makes_one_engine_call(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return transfer_all_orders(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "transfer_all_orders", counted)
+        code, out, _ = run(
+            capsys, "sequence", "--patterns", "1 2", "--n-max", "6",
+            "--format", "csv",
+        )
+        assert (code, out) == (0, "1,2,7,34,209,1546,13327\n")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("method", ["transfer", "naive", "backtrack", "mask"])
+    def test_bad_order_range_exit_2(self, capsys, method):
+        for n_max in ("-1", "12"):
+            code, out, err = run(
+                capsys, "sequence", "--patterns", "1 2", "--n-max", n_max,
+                "--method", method,
+            )
+            assert (code, out) == (2, "")
+            assert "error:" in err
+
     def test_catalan_sequence(self, capsys):
         code, out, _ = run(
             capsys,
@@ -156,6 +189,9 @@ class TestOrbits:
         doc = json.loads(out)
         assert len(doc) == 58
         assert sum(row["orbit_size"] for row in doc) == 256
+
+    def test_takes_no_engine_flags(self, capsys):
+        assert run(capsys, "orbits", "--cap", "5")[0] == 2
 
 
 class TestCensus:

@@ -229,7 +229,10 @@ class TestTransfer:
 class TestDispatch:
     def test_methods_agree(self):
         tset = PatternSet.parse("1 2, -2 1")
-        values = {count(4, tset, method=m).value for m in ("naive", "backtrack", "mask")}
+        values = {
+            count(4, tset, method=m).value
+            for m in ("transfer", "naive", "backtrack", "mask")
+        }
         assert len(values) == 1
 
     def test_count_mask_result(self):
