@@ -2,169 +2,23 @@
 
 Exact enumeration of the 2^n n! signed permutations of order n that avoid
 a chosen set of the eight length-2 signed patterns, with a polynomial-time
-transfer engine answering all 256 sets at once, three independent oracle
-engines, the order-8 symmetry group acting on pattern sets, a registry of
+transfer engine answering all 256 sets at once, three oracle engines to
+check it against, the order-8 symmetry group acting on pattern sets, a registry of
 closed forms, and a census of all 256 pattern sets reduced to their 58
 symmetry orbits.
 """
 
 __version__ = "0.1.0"
 
-from .core import (
-    DEFAULT_CAP,
-    EMPTY_SET,
-    FULL_SET,
-    PATTERNS,
-    CapExceededError,
-    DuplicateMagnitudeError,
-    EqualMagnitudesError,
-    MagnitudeOutOfRangeError,
-    Pattern,
-    PatternSet,
-    SignedPermutation,
-    ZeroLetterError,
-    avoids,
-    check_cap,
-    containment_mask,
-    contains,
-    iterate_Bn,
-    pair_index,
-    pair_pattern,
-    pattern_of,
-    validate_permutation,
-)
-from .symmetry import (
-    IDENTITY,
-    Orbit,
-    SymmetryElement,
-    all_orbits,
-    apply,
-    apply_to_pattern,
-    apply_to_set,
-    barring,
-    canonical_representative,
-    complement,
-    group_elements,
-    orbit_census_by_size,
-    orbit_of_set,
-    reversal,
-)
-from .enumeration import (
-    BACKTRACK,
-    MASK,
-    METHODS,
-    NAIVE,
-    TRANSFER,
-    CountResult,
-    MaskHistogram,
-    count,
-    count_backtrack,
-    count_mask,
-    count_naive,
-    counts_all_subsets,
-    mask_histogram,
-    transfer_all_orders,
-)
-from .formulas import (
-    FORMULA_IDS,
-    RegistryEntry,
-    UnknownFormulaError,
-    binomial,
-    catalan,
-    compositions_sum,
-    entries_for,
-    eval_formula,
-    factorial,
-    fibonacci,
-    registry,
-)
-from .census import (
-    CensusRecord,
-    CensusTable,
-    EntryCheck,
-    SchemaError,
-    SupersededClaim,
-    VerificationReport,
-    export,
-    load_cache,
-    run_census,
-    verify_registry,
-    wilf_classes,
-    write_cache,
-)
+# census imports __version__, so it is bound before the submodules load
+from . import census, core, enumeration, formulas, symmetry
+from .census import *
+from .core import *
+from .enumeration import *
+from .formulas import *
+from .symmetry import *
 
 __all__ = [
-    "DEFAULT_CAP",
-    "EMPTY_SET",
-    "FULL_SET",
-    "PATTERNS",
-    "BACKTRACK",
-    "MASK",
-    "METHODS",
-    "NAIVE",
-    "TRANSFER",
-    "FORMULA_IDS",
-    "IDENTITY",
-    "CapExceededError",
-    "CensusRecord",
-    "CensusTable",
-    "CountResult",
-    "DuplicateMagnitudeError",
-    "EntryCheck",
-    "EqualMagnitudesError",
-    "MagnitudeOutOfRangeError",
-    "MaskHistogram",
-    "Orbit",
-    "Pattern",
-    "PatternSet",
-    "RegistryEntry",
-    "SchemaError",
-    "SignedPermutation",
-    "SupersededClaim",
-    "SymmetryElement",
-    "UnknownFormulaError",
-    "VerificationReport",
-    "ZeroLetterError",
-    "all_orbits",
-    "apply",
-    "apply_to_pattern",
-    "apply_to_set",
-    "avoids",
-    "barring",
-    "binomial",
-    "canonical_representative",
-    "catalan",
-    "check_cap",
-    "complement",
-    "compositions_sum",
-    "containment_mask",
-    "contains",
-    "count",
-    "count_backtrack",
-    "count_mask",
-    "count_naive",
-    "counts_all_subsets",
-    "entries_for",
-    "eval_formula",
-    "export",
-    "factorial",
-    "fibonacci",
-    "group_elements",
-    "iterate_Bn",
-    "load_cache",
-    "mask_histogram",
-    "orbit_census_by_size",
-    "orbit_of_set",
-    "pair_index",
-    "pair_pattern",
-    "pattern_of",
-    "registry",
-    "reversal",
-    "run_census",
-    "transfer_all_orders",
-    "validate_permutation",
-    "verify_registry",
-    "wilf_classes",
-    "write_cache",
-    "__version__",
+    *core.__all__, *symmetry.__all__, *enumeration.__all__, *formulas.__all__,
+    *census.__all__, "__version__",
 ]

@@ -23,6 +23,12 @@ from .enumeration import transfer_all_orders
 from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
 
+__all__ = [
+    "CensusRecord", "CensusTable", "EntryCheck", "SchemaError", "SupersededClaim",
+    "VerificationReport", "export", "load_cache", "run_census", "verify_registry",
+    "wilf_classes", "write_cache",
+]
+
 
 class SchemaError(ValueError):
     """A census file does not match the expected structure."""
@@ -133,32 +139,27 @@ def run_census(
 ) -> CensusTable:
     """Count, verify, and classify all orbits up to order n_max.
 
-    All orders come from one transfer-engine pass.  Sequences are checked
-    for agreement across each orbit before being recorded.  A cache is
-    never trusted: SchemaError is raised unless it is from this version (if
-    it says), holds one record per orbit, in orbit order, with its id and
-    members, and equals the recount at every cached order up to n_max.
+    All orders come from one transfer-engine pass.  Each orbit's sequence
+    is read from its representative and checked against every member.  A
+    cache is never trusted: SchemaError is raised unless it is from this
+    version (if it says), holds one record per orbit, in orbit order, with
+    its id and members, and equals the recount at every cached order up to
+    n_max.
     """
     per_order = transfer_all_orders(n_max, cap=cap)
-    orbits = all_orbits()
-    sequences: dict[int, list[int]] = {o.representative.mask: [] for o in orbits}
-    for n, counts in enumerate(per_order):
-        for orb in orbits:
-            values = {counts[member] for member in orb.members}
-            if len(values) != 1:
-                raise RuntimeError(
-                    f"orbit of {orb.representative} has unequal counts at order {n}"
-                )
-            sequences[orb.representative.mask].append(values.pop())
-
     by_rep: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(per_order, n_max):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
     class_ids: dict[tuple[int, ...], int] = {}
     records = []
-    for orbit_id, orb in enumerate(orbits):
+    for orbit_id, orb in enumerate(all_orbits()):
         rep_mask = orb.representative.mask
-        seq = tuple(sequences[rep_mask])
+        seq = tuple(counts[orb.representative] for counts in per_order)
+        for n, counts in enumerate(per_order):
+            if any(counts[member] != seq[n] for member in orb.members):
+                raise RuntimeError(
+                    f"orbit of {orb.representative} has unequal counts at order {n}"
+                )
         checks = by_rep.get(rep_mask, [])
         details = tuple(
             f"{c.entry.name}/{c.entry.formula} at {m}"

@@ -26,6 +26,14 @@ import warnings
 from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+__all__ = [
+    "DEFAULT_CAP", "EMPTY_SET", "FULL_SET", "PATTERNS", "CapExceededError",
+    "DuplicateMagnitudeError", "EqualMagnitudesError", "MagnitudeOutOfRangeError",
+    "Pattern", "PatternSet", "SignedPermutation", "ZeroLetterError", "avoids",
+    "check_cap", "containment_mask", "contains", "iterate_Bn", "pair_index",
+    "pair_pattern", "pattern_of", "validate_permutation",
+]
+
 DEFAULT_CAP = 9
 
 

@@ -37,6 +37,12 @@ from .core import (
     pair_index,
 )
 
+__all__ = [
+    "BACKTRACK", "MASK", "METHODS", "NAIVE", "TRANSFER", "CountResult",
+    "MaskHistogram", "count", "count_backtrack", "count_mask", "count_naive",
+    "counts_all_subsets", "mask_histogram", "transfer_all_orders",
+]
+
 TRANSFER = "transfer"
 NAIVE = "naive"
 BACKTRACK = "backtrack"

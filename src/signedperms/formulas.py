@@ -18,6 +18,12 @@ from typing import NamedTuple
 from .core import PatternSet
 from .symmetry import canonical_representative
 
+__all__ = [
+    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "binomial", "catalan",
+    "compositions_sum", "entries_for", "eval_formula", "factorial", "fibonacci",
+    "registry",
+]
+
 
 class UnknownFormulaError(ValueError):
     """No formula is registered under that id."""

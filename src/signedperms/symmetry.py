@@ -15,10 +15,18 @@ of study: one representative per orbit suffices.
 
 from __future__ import annotations
 
+import itertools
 from functools import cache
 from typing import NamedTuple, Sequence
 
 from .core import PATTERNS, Pattern, PatternSet, SignedPermutation
+
+__all__ = [
+    "IDENTITY", "Orbit", "SymmetryElement", "all_orbits", "apply",
+    "apply_to_pattern", "apply_to_set", "barring", "canonical_representative",
+    "complement", "group_elements", "orbit_census_by_size", "orbit_of_set",
+    "reversal",
+]
 
 
 def reversal(alpha: Sequence[int]) -> SignedPermutation:
@@ -94,44 +102,24 @@ def apply_to_set(g: SymmetryElement, tset: PatternSet) -> PatternSet:
 
 @cache
 def group_elements() -> frozenset[SymmetryElement]:
-    """Close the three generators into a group under composition.
+    """The eight flag triples: the generators are commuting involutions.
 
-    Elements are distinguished by how they act on the eight patterns, and
-    labeled by which generators produced them.  The closure is computed,
-    not assumed: starting from the identity, compose with each generator
-    until nothing new appears.  A relabeling clash along the way would mean
-    the flag triple is not a faithful name for the action and raises.
+    That claim is checked, not assumed: the eight elements must act on the
+    patterns in eight distinct ways, and applying h then g must act as the
+    element whose flags are the XOR of theirs.  Otherwise the flag triple
+    is not a faithful name for the action, and this raises.
     """
-    generators = (
-        SymmetryElement(use_reversal=True),
-        SymmetryElement(use_barring=True),
-        SymmetryElement(use_complement=True),
+    flags = itertools.product((False, True), repeat=3)
+    elements = [SymmetryElement(*f) for f in flags]
+    tables = {g: _action_table(g) for g in elements}
+    faithful = len(set(tables.values())) == 8 and all(
+        tables[SymmetryElement(*(x ^ y for x, y in zip(g, h)))]
+        == tuple(tables[g][i] for i in tables[h])
+        for g, h in itertools.product(elements, repeat=2)
     )
-    gen_tables = [_action_table(g) for g in generators]
-    identity = tuple(range(8))
-    seen: dict[tuple[int, ...], SymmetryElement] = {identity: IDENTITY}
-    frontier = [identity]
-    while frontier:
-        next_frontier = []
-        for t in frontier:
-            elem = seen[t]
-            for g, gt in zip(generators, gen_tables):
-                composed = tuple(gt[t[i]] for i in range(8))
-                flags = SymmetryElement(
-                    elem.use_reversal ^ g.use_reversal,
-                    elem.use_barring ^ g.use_barring,
-                    elem.use_complement ^ g.use_complement,
-                )
-                known = seen.get(composed)
-                if known is None:
-                    seen[composed] = flags
-                    next_frontier.append(composed)
-                elif known != flags:
-                    raise RuntimeError(
-                        "generator flags do not label pattern actions faithfully"
-                    )
-        frontier = next_frontier
-    return frozenset(seen.values())
+    if not faithful:
+        raise RuntimeError("generator flags do not label pattern actions faithfully")
+    return frozenset(elements)
 
 
 class Orbit(NamedTuple):

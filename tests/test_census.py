@@ -3,6 +3,7 @@
 import copy
 import json
 import pickle
+import re
 
 import pytest
 
@@ -18,7 +19,7 @@ from signedperms import (
     wilf_classes,
     write_cache,
 )
-from signedperms import formulas
+from signedperms import census, formulas
 from conftest import NAMED_TRIPLES
 
 
@@ -73,6 +74,23 @@ class TestRunCensus:
         )
         assert list(almost.sequence) == [1, 2, 1, 1, 1, 1]
         assert "U78_3" in almost.paper_names
+
+    def test_unequal_orbit_counts_raise(self, monkeypatch):
+        # one member of a nontrivial orbit is miscounted at order 3
+        orb = next(o for o in all_orbits() if o.size > 1)
+        member = max(orb.members, key=lambda s: s.mask)
+        assert member != orb.representative
+        engine = census.transfer_all_orders
+
+        def skewed(n_max, cap):
+            per_order = [dict(counts) for counts in engine(n_max, cap=cap)]
+            per_order[3][member] += 1
+            return per_order
+
+        monkeypatch.setattr(census, "transfer_all_orders", skewed)
+        message = f"orbit of {orb.representative} has unequal counts at order 3"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            run_census(5)
 
     def test_all_verified(self, table5):
         assert {rec.verification for rec in table5.records} == {"verified"}

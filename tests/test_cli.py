@@ -406,6 +406,35 @@ def run_fresh(code: str) -> str:
 
 
 class TestImports:
+    API = {
+        "__version__", "all_orbits", "apply", "apply_to_pattern", "apply_to_set",
+        "avoids", "BACKTRACK", "barring", "binomial", "canonical_representative",
+        "CapExceededError", "catalan", "CensusRecord", "CensusTable", "check_cap",
+        "complement", "compositions_sum", "containment_mask", "contains", "count",
+        "count_backtrack", "count_mask", "count_naive", "CountResult",
+        "counts_all_subsets", "DEFAULT_CAP", "DuplicateMagnitudeError", "EMPTY_SET",
+        "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
+        "factorial", "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
+        "IDENTITY", "iterate_Bn", "load_cache", "MagnitudeOutOfRangeError", "MASK",
+        "mask_histogram", "MaskHistogram", "METHODS", "NAIVE", "Orbit",
+        "orbit_census_by_size", "orbit_of_set", "pair_index", "pair_pattern", "Pattern",
+        "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal",
+        "run_census", "SchemaError", "SignedPermutation", "SupersededClaim",
+        "SymmetryElement", "TRANSFER", "transfer_all_orders", "UnknownFormulaError",
+        "validate_permutation", "VerificationReport", "verify_registry", "wilf_classes",
+        "write_cache", "ZeroLetterError",
+    }
+
+    def test_public_api_is_pinned(self):
+        assert set(signedperms.__all__) == self.API
+        for name in signedperms.__all__:
+            getattr(signedperms, name)
+
+    def test_each_name_is_exported_by_one_module(self):
+        modules = ("core", "symmetry", "enumeration", "formulas", "census")
+        names = [n for m in modules for n in getattr(signedperms, m).__all__]
+        assert len(names) == len(set(names)) == len(self.API) - 1  # __version__
+
     def test_cli_loads_no_numpy(self):
         out = run_fresh(
             "import contextlib, io, sys\n"

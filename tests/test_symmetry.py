@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from signedperms import symmetry
 from signedperms import (
     IDENTITY,
     PATTERNS,
@@ -109,6 +110,35 @@ class TestGroup:
         for s, t in itertools.product(tables, repeat=2):
             composed = tuple(s[t[i]] for i in range(8))
             assert composed in tables
+
+    def test_set_action_composes_as_xor_of_flags(self):
+        for g, h in itertools.product(group_elements(), repeat=2):
+            gh = SymmetryElement(*(x ^ y for x, y in zip(g, h)))
+            for mask in range(256):
+                tset = PatternSet(mask)
+                assert apply_to_set(g, apply_to_set(h, tset)) == apply_to_set(gh, tset)
+
+    @pytest.mark.parametrize(
+        "relabel",
+        [
+            # every element acts as the identity: the tables are not distinct
+            {g: IDENTITY for g in ALL_FLAGS},
+            # reversal and reversal-barring trade actions: the tables stay
+            # distinct, but reversal then complement no longer acts as their XOR
+            {SymmetryElement(True): SymmetryElement(True, True),
+             SymmetryElement(True, True): SymmetryElement(True)},
+        ],
+        ids=["collapse", "swap"],
+    )
+    def test_unfaithful_flags_raise(self, monkeypatch, relabel):
+        action = symmetry._action_table
+        monkeypatch.setattr(symmetry, "_action_table", lambda g: action(relabel.get(g, g)))
+        group_elements.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="not label pattern actions faithfully"):
+                group_elements()
+        finally:
+            group_elements.cache_clear()
 
 
 class TestPatternAction:
