@@ -360,6 +360,16 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
+def _strings(raw: dict, key: str) -> tuple[str, ...]:
+    # a record's list of strings; verification_details alone may be absent
+    items = raw.get(key, [])
+    _require(
+        type(items) is list and all(type(s) is str for s in items),
+        f"{key} must be a list of strings",
+    )
+    return tuple(items)
+
+
 def load_cache(path: str | Path) -> CensusTable:
     """Load a JSON census written by export, validating its structure."""
     try:
@@ -369,7 +379,7 @@ def load_cache(path: str | Path) -> CensusTable:
     _require(isinstance(doc, dict), "top level must be an object")
     _require("n_max" in doc and "records" in doc, "top level needs n_max and records")
     n_max = doc["n_max"]
-    _require(isinstance(n_max, int) and n_max >= 0, "n_max must be a nonnegative int")
+    _require(type(n_max) is int and n_max >= 0, "n_max must be a nonnegative int")
     raw_records = doc["records"]
     _require(isinstance(raw_records, list), "records must be a list")
     records = []
@@ -379,13 +389,10 @@ def load_cache(path: str | Path) -> CensusTable:
             _require(key in raw, f"record missing key {key!r}")
         sequence = raw["sequence"]
         _require(
-            isinstance(sequence, list) and len(sequence) == n_max + 1,
-            "sequence must list exactly n_max + 1 values",
+            type(sequence) is list and len(sequence) == n_max + 1
+            and all(type(s) is str and s.isascii() and s.isdigit() for s in sequence),
+            f"sequence must list exactly n_max + 1 decimal digit strings: {sequence!r}",
         )
-        try:
-            seq = tuple(int(s) for s in sequence)
-        except (TypeError, ValueError):
-            raise SchemaError(f"non-integer sequence entry in {sequence!r}") from None
         _require(
             raw["verification"] in (VERIFIED, MISMATCH, ENUMERATION_ONLY),
             f"unknown verification value {raw['verification']!r}",
@@ -398,15 +405,13 @@ def load_cache(path: str | Path) -> CensusTable:
             CensusRecord(
                 orbit_id=raw["orbit_id"],
                 representative=_pattern_set_from_json(raw["representative"]),
-                paper_names=tuple(str(s) for s in raw["paper_names"]),
-                members=tuple(
-                    _pattern_set_from_json(m) for m in raw["members"]
-                ),
-                sequence=seq,
-                formula_ids=tuple(str(s) for s in raw["formula_ids"]),
+                paper_names=_strings(raw, "paper_names"),
+                members=tuple(map(_pattern_set_from_json, raw["members"])),
+                sequence=tuple(map(int, sequence)),
+                formula_ids=_strings(raw, "formula_ids"),
                 verification=raw["verification"],
                 wilf_class=raw["wilf_class"],
-                verification_details=tuple(raw.get("verification_details", ())),
+                verification_details=_strings(raw, "verification_details"),
             )
         )
     metadata = doc.get("metadata", {})

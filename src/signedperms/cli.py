@@ -17,13 +17,13 @@ from pathlib import Path
 
 from .census import (
     MISMATCH,
-    SchemaError,
+    VERIFIED,
     export,
     load_cache,
     run_census,
     verify_registry,
 )
-from .core import DEFAULT_CAP, CapExceededError, PatternSet, check_cap
+from .core import DEFAULT_CAP, PatternSet, check_cap
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
 from .symmetry import all_orbits
 
@@ -179,7 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for c in report.checks:
             line = (
-                f"{'PASS' if c.status == 'verified' else 'FAIL'} "
+                f"{'PASS' if c.status == VERIFIED else 'FAIL'} "
                 f"{c.entry.name} [{c.entry.formula}] n={c.first_n}..{c.last_n}"
             )
             if c.mismatches:
@@ -259,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CapExceededError, SchemaError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

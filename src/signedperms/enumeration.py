@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 from .core import (
     DEFAULT_CAP,
+    _PAIR_INDEX,
     CapExceededError,
     PatternSet,
     avoids,
@@ -63,37 +63,22 @@ def count_naive(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult
     return CountResult(n, tset, total, NAIVE)
 
 
-def _extension_tables() -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _added(s: int, new: int) -> int:
     # Appending a letter to a prefix creates new pattern occurrences only
     # between old letters and the new one, and which patterns appear depends
     # only on four bits of the prefix: does it hold an unbarred magnitude
     # below the new one, an unbarred one above, a barred one below, a barred
-    # one above.  Tabulate the added-pattern mask for all 16 summaries, for
-    # an unbarred and for a barred new letter.  Representative magnitudes
-    # 1 < 3 < 5 stand in for below < new < above.
-    unbarred = []
-    barred = []
-    for s in range(16):
-        add_u = 0
-        add_b = 0
-        if s & 1:
-            add_u |= 1 << pair_index(1, 3)
-            add_b |= 1 << pair_index(1, -3)
-        if s & 2:
-            add_u |= 1 << pair_index(5, 3)
-            add_b |= 1 << pair_index(5, -3)
-        if s & 4:
-            add_u |= 1 << pair_index(-1, 3)
-            add_b |= 1 << pair_index(-1, -3)
-        if s & 8:
-            add_u |= 1 << pair_index(-5, 3)
-            add_b |= 1 << pair_index(-5, -3)
-        unbarred.append(add_u)
-        barred.append(add_b)
-    return tuple(unbarred), tuple(barred)
+    # one above.  The tables below hold the added-pattern mask for all 16
+    # summaries, for an unbarred and for a barred new letter.
+    # Representative magnitudes 1 < 3 < 5 stand in for below < new <
+    # above; the four pairs realize four distinct patterns, so summing
+    # their bits ors them.
+    return sum(1 << pair_index(x, new) for b, x in enumerate((1, 5, -1, -5)) if s >> b & 1)
 
 
-_EXTEND_UNBARRED, _EXTEND_BARRED = _extension_tables()
+_EXTEND_UNBARRED, _EXTEND_BARRED = (
+    tuple(_added(s, new) for s in range(16)) for new in (3, -3)
+)
 
 
 def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
@@ -144,8 +129,8 @@ def transfer_all_orders(
 
     Entry i of the result holds order n_min + i; an empty range gives [].
 
-    Which patterns the next letter adds depends only on the four bits of
-    _extension_tables, so a prefix's future depends only on k, the number
+    Which patterns the next letter adds depends only on the four summary
+    bits of _added, so a prefix's future depends only on k, the number
     of unused magnitudes, and on four gap indices in 0..k placing the min
     and max used unbarred magnitudes and the min and max used barred ones
     among the unused magnitudes (gap g holds used magnitudes with exactly
@@ -248,50 +233,6 @@ class MaskHistogram(NamedTuple):
 _INT64_LIMIT = 1 << 62
 
 
-@lru_cache(maxsize=None)
-def _pair_tables(n: int) -> tuple[tuple[int, int, np.ndarray, np.ndarray], ...]:
-    # For each position pair (i, j), i < j, and every sign vector in 2^n,
-    # the single-bit pattern contribution of that pair: one array for
-    # descending magnitudes, one for ascending.  Sign bit i of the vector
-    # bars position i.
-    import numpy as np
-
-    size = 1 << n
-    lut = np.zeros((2, 2, 2), dtype=np.uint8)
-    for si in (0, 1):
-        for sj in (0, 1):
-            for asc in (0, 1):
-                x = (1 if asc else 2) * (-1 if si else 1)
-                y = (2 if asc else 1) * (-1 if sj else 1)
-                lut[si, sj, asc] = 1 << pair_index(x, y)
-    sel = [
-        ((np.arange(size, dtype=np.uint32) >> i) & 1).astype(np.intp)
-        for i in range(n)
-    ]
-    tables = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            desc = lut[sel[i], sel[j], 0]
-            asc = lut[sel[i], sel[j], 1]
-            tables.append((i, j, desc, asc))
-    return tuple(tables)
-
-
-def _histogram_block(
-    perms: np.ndarray, n: int, tables
-) -> np.ndarray:
-    # containment masks for a block of magnitude words crossed with all
-    # 2^n sign vectors at once
-    import numpy as np
-
-    size = 1 << n
-    masks = np.zeros((perms.shape[0], size), dtype=np.uint8)
-    for i, j, desc, asc in tables:
-        up = perms[:, i] < perms[:, j]
-        np.bitwise_or(masks, np.where(up[:, None], asc[None, :], desc[None, :]), out=masks)
-    return np.bincount(masks.reshape(-1), minlength=256)
-
-
 def mask_histogram(
     n: int,
     cap: int = DEFAULT_CAP,
@@ -306,21 +247,30 @@ def mask_histogram(
     import numpy as np
 
     check_cap(n, cap)
-    if n < 2:
-        return MaskHistogram(n, {0: (1 << n) * math.factorial(n)})
     if (1 << n) * math.factorial(n) >= _INT64_LIMIT:
         raise CapExceededError(f"order {n} overflows the histogram accumulator")
     if chunk_size is None:
         # keep each boolean mask block around a few MB
         chunk_size = max(64, (1 << 22) >> n)
+    # For each position pair (i, j), i < j, the pattern bit it contributes
+    # under every sign vector, whose bit i bars position i: one array for
+    # descending magnitudes, one for ascending.  kind is the pair type that
+    # keys _PAIR_INDEX, less its magnitudes-ascending bit.
+    pattern_bit = np.array([1 << p for p in _PAIR_INDEX], dtype=np.uint8)
+    signs = np.arange(1 << n)
+    pairs = []
+    for i, j in itertools.combinations(range(n), 2):
+        kind = (signs >> i & 1) << 2 | (signs >> j & 1) << 1
+        pairs.append((i, j, pattern_bit[kind], pattern_bit[kind | 1]))
     hist = np.zeros(256, dtype=np.int64)
-    tables = _pair_tables(n)
     stream = itertools.permutations(range(1, n + 1))
-    while True:
-        block = list(itertools.islice(stream, chunk_size))
-        if not block:
-            break
-        hist += _histogram_block(np.array(block, dtype=np.int8), n, tables)
+    while block := list(itertools.islice(stream, chunk_size)):
+        perms = np.array(block, dtype=np.int8)
+        masks = np.zeros((len(block), 1 << n), dtype=np.uint8)
+        for i, j, desc, asc in pairs:
+            up = perms[:, i] < perms[:, j]
+            masks |= np.where(up[:, None], asc, desc)
+        hist += np.bincount(masks.reshape(-1), minlength=256)
     counts = {m: int(c) for m, c in enumerate(hist.tolist()) if c}
     return MaskHistogram(n, counts)
 

@@ -19,7 +19,7 @@ import itertools
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .core import PATTERNS, Pattern, PatternSet, SignedPermutation
+from .core import PATTERNS, Pattern, PatternSet, SignedPermutation, pattern_of
 
 __all__ = [
     "IDENTITY", "Orbit", "SymmetryElement", "all_orbits", "apply",
@@ -75,11 +75,7 @@ def apply(g: SymmetryElement, alpha: Sequence[int]) -> SignedPermutation:
 @cache
 def _action_table(g: SymmetryElement) -> tuple[int, ...]:
     # how g permutes the eight pattern indices
-    table = []
-    for p in PATTERNS:
-        image = apply(g, p.letters)
-        table.append(next(q.index for q in PATTERNS if tuple(q.letters) == tuple(image)))
-    return tuple(table)
+    return tuple(pattern_of(apply(g, p.letters)).index for p in PATTERNS)
 
 
 def apply_to_pattern(g: SymmetryElement, p: Pattern) -> Pattern:

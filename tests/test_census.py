@@ -393,6 +393,34 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_cache(p)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_max", True),
+            ("paper_names", "T_2"),
+            ("paper_names", [5]),
+            ("formula_ids", "EQ2"),
+            ("verification_details", [5]),
+            ("verification_details", "n=1"),
+            ("sequence", ["1", 2.9]),
+            ("sequence", ["1", 2]),
+            ("sequence", ["1", "-2"]),
+            ("sequence", ["1", " 2"]),
+        ],
+    )
+    def test_load_rejects_mistyped_fields(self, tmp_path, key, value):
+        # each file differs from a valid order-1 census in one field, and
+        # a looser loader would read it as some other, wrong table
+        doc = json.loads(export(run_census(1)).decode())
+        if key == "n_max":
+            doc[key] = value
+        else:
+            doc["records"][1][key] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=key):
+            load_cache(p)
+
     def test_file_cache_extension(self, tmp_path):
         path = tmp_path / "cache.json"
         write_cache(run_census(3), path)

@@ -1,5 +1,6 @@
-"""The demo scripts still run against the current API."""
+"""The demo scripts and the README quickstart still run against the current API."""
 
+import ast
 import os
 import shutil
 import subprocess
@@ -11,7 +12,8 @@ import pytest
 import signedperms
 from signedperms import load_cache
 
-DEMOS = Path(__file__).resolve().parents[1] / "demos"
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ROOT / "demos"
 
 
 def run_demo(script):
@@ -44,3 +46,20 @@ def test_full_census_demo_writes_its_table(tmp_path):
     done = run_demo(script)
     assert done.returncode == 0, done.stderr
     assert load_cache(tmp_path / "census6.json").n_max == 6
+
+
+def test_readme_quickstart_gives_its_commented_results():
+    # run the README's python block statement by statement, keeping the
+    # value of each bare expression, whose result the README gives in a
+    # comment
+    text = (ROOT / "README.md").read_text()
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    values = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            code = compile(ast.Expression(stmt.value), "README.md", "eval")
+            values.append(eval(code, namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert values == [132, 132, 13327, (1, 2, 7, 34, 209, 1546, 13327)]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from signedperms import (
     EMPTY_SET,
+    PATTERNS,
     FULL_SET,
     CapExceededError,
     PatternSet,
@@ -22,7 +23,8 @@ from signedperms import (
     mask_histogram,
     transfer_all_orders,
 )
-from conftest import NAMED_TRIPLES, oracle_count
+from signedperms import enumeration
+from conftest import NAMED_TRIPLES, oracle_count, oracle_pair_matches
 
 pattern_sets = st.integers(0, 255).map(PatternSet)
 
@@ -90,6 +92,29 @@ class TestBacktrack:
                 assert (
                     count_backtrack(n, tset).value == count_naive(n, tset).value
                 ), (n, mask)
+
+    @pytest.mark.parametrize(
+        "new, table",
+        [(4, enumeration._EXTEND_UNBARRED), (-4, enumeration._EXTEND_BARRED)],
+    )
+    def test_extension_tables_match_definition(self, new, table):
+        # summary bit b says the prefix holds an old letter like olds[b]:
+        # unbarred below the new letter, unbarred above, barred below,
+        # barred above; the new letter's pairs with those olds add exactly
+        # the patterns they match by definition
+        olds = (1, 7, -2, -6)
+        expected = [
+            sum(
+                1 << p.index
+                for p in PATTERNS
+                if any(
+                    s >> b & 1 and oracle_pair_matches(x, new, tuple(p.letters))
+                    for b, x in enumerate(olds)
+                )
+            )
+            for s in range(16)
+        ]
+        assert list(table) == expected
 
     @settings(max_examples=60)
     @given(st.integers(0, 4), pattern_sets)
