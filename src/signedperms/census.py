@@ -278,13 +278,14 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     return VerificationReport(n_max, checks, tuple(superseded))
 
 
-def _pattern_set_from_json(data) -> PatternSet:
-    if not isinstance(data, list):
-        raise SchemaError(f"pattern set must be a list, got {type(data).__name__}")
+def _pattern_set(data, key: str) -> PatternSet:
     try:
-        return PatternSet.from_patterns(tuple(pair) for pair in data)
+        # letters must be ints: a bool or a float compares equal to one
+        if type(data) is not list or any(type(x) is not int for p in data for x in p):
+            raise TypeError("a pattern set is a list of lists of int letters")
+        return PatternSet.from_patterns(map(tuple, data))
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad pattern set {data!r}: {exc}") from None
+        raise SchemaError(f"bad pattern set in {key} {data!r}: {exc}") from None
 
 
 def _json_list(items: list[str], pad: str) -> str:
@@ -401,12 +402,13 @@ def load_cache(path: str | Path) -> CensusTable:
             type(raw["orbit_id"]) is int and type(raw["wilf_class"]) is int,
             "orbit_id and wilf_class must be ints",
         )
+        _require(type(raw["members"]) is list, "members must be a list")
         records.append(
             CensusRecord(
                 orbit_id=raw["orbit_id"],
-                representative=_pattern_set_from_json(raw["representative"]),
+                representative=_pattern_set(raw["representative"], "representative"),
                 paper_names=_strings(raw, "paper_names"),
-                members=tuple(map(_pattern_set_from_json, raw["members"])),
+                members=tuple(_pattern_set(m, "members") for m in raw["members"]),
                 sequence=tuple(map(int, sequence)),
                 formula_ids=_strings(raw, "formula_ids"),
                 verification=raw["verification"],

@@ -29,7 +29,6 @@ from typing import NamedTuple
 from .core import (
     DEFAULT_CAP,
     _PAIR_INDEX,
-    CapExceededError,
     PatternSet,
     avoids,
     check_cap,
@@ -38,9 +37,9 @@ from .core import (
 )
 
 __all__ = [
-    "BACKTRACK", "MASK", "METHODS", "NAIVE", "TRANSFER", "CountResult",
-    "MaskHistogram", "count", "count_backtrack", "count_mask", "count_naive",
-    "counts_all_subsets", "mask_histogram", "transfer_all_orders",
+    "BACKTRACK", "MASK", "METHODS", "NAIVE", "TRANSFER", "CountResult", "count",
+    "count_backtrack", "count_mask", "count_naive", "counts_all_subsets",
+    "mask_histogram", "transfer_all_orders",
 ]
 
 TRANSFER = "transfer"
@@ -210,48 +209,23 @@ def transfer_all_orders(
     return out
 
 
-class MaskHistogram(NamedTuple):
-    """Frequencies of containment masks over all of B_n.
+def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+    """Frequencies of containment masks over all of B_n, in one numpy pass.
 
-    counts maps an 8-bit mask to how many order-n signed permutations
-    realize exactly that set of patterns; zero entries are omitted.
-    """
-
-    n: int
-    counts: dict[int, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def count_for(self, mask: int | PatternSet) -> int:
-        if isinstance(mask, PatternSet):
-            mask = mask.mask
-        return self.counts.get(mask, 0)
-
-
-# np.bincount accumulates in int64; keep the group size well inside it
-_INT64_LIMIT = 1 << 62
-
-
-def mask_histogram(
-    n: int,
-    cap: int = DEFAULT_CAP,
-    chunk_size: int | None = None,
-) -> MaskHistogram:
-    """One vectorized pass over B_n, bucketing words by containment mask.
-
-    Magnitude words stream in lexicographic chunks, in this one process;
-    each chunk is crossed with all 2^n sign vectors in numpy, or-ing
-    per-pair pattern bits into a mask per word, then histogrammed.
+    Returns {mask: count}: how many order-n signed permutations realize
+    exactly the 8-bit set of patterns mask; zero buckets are omitted.
+    Magnitude words stream in lexicographic blocks of a fixed size, in
+    this one process; each block is crossed with all 2^n sign vectors in
+    numpy, or-ing per-pair pattern bits into a mask per word, then
+    histogrammed.  The blocks' bucket counts are added up in exact Python
+    integers, so no total can overflow.
     """
     import numpy as np
 
     check_cap(n, cap)
-    if (1 << n) * math.factorial(n) >= _INT64_LIMIT:
-        raise CapExceededError(f"order {n} overflows the histogram accumulator")
-    if chunk_size is None:
-        # keep each boolean mask block around a few MB
-        chunk_size = max(64, (1 << 22) >> n)
+    # keep each boolean mask block around a few MB; order 9 in one block
+    # would hold about 186 MB of masks
+    block_size = max(64, (1 << 22) >> n)
     # For each position pair (i, j), i < j, the pattern bit it contributes
     # under every sign vector, whose bit i bars position i: one array for
     # descending magnitudes, one for ascending.  kind is the pair type that
@@ -262,24 +236,21 @@ def mask_histogram(
     for i, j in itertools.combinations(range(n), 2):
         kind = (signs >> i & 1) << 2 | (signs >> j & 1) << 1
         pairs.append((i, j, pattern_bit[kind], pattern_bit[kind | 1]))
-    hist = np.zeros(256, dtype=np.int64)
+    hist = [0] * 256
     stream = itertools.permutations(range(1, n + 1))
-    while block := list(itertools.islice(stream, chunk_size)):
+    while block := list(itertools.islice(stream, block_size)):
         perms = np.array(block, dtype=np.int8)
         masks = np.zeros((len(block), 1 << n), dtype=np.uint8)
         for i, j, desc, asc in pairs:
             up = perms[:, i] < perms[:, j]
             masks |= np.where(up[:, None], asc, desc)
-        hist += np.bincount(masks.reshape(-1), minlength=256)
-    counts = {m: int(c) for m, c in enumerate(hist.tolist()) if c}
-    return MaskHistogram(n, counts)
+        counts = np.bincount(masks.reshape(-1), minlength=256).tolist()
+        hist = [h + c for h, c in zip(hist, counts)]
+    return {m: c for m, c in enumerate(hist) if c}
 
 
 def counts_all_subsets(
-    n: int,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-    histogram: MaskHistogram | None = None,
+    n: int, cap: int = DEFAULT_CAP, workers: int = 1
 ) -> dict[PatternSet, int]:
     """Avoider counts for every one of the 256 pattern sets at order n.
 
@@ -292,11 +263,8 @@ def counts_all_subsets(
     and the parameter stays only so that callers still passing it, such
     as bench/golden.py, keep working.
     """
-    hist = histogram if histogram is not None else mask_histogram(n, cap)
-    if hist.n != n:
-        raise ValueError(f"histogram is for order {hist.n}, not {n}")
     f = [0] * 256
-    for mask, c in hist.counts.items():
+    for mask, c in mask_histogram(n, cap).items():
         f[mask] = c
     for i in range(8):
         bit = 1 << i

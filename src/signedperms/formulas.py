@@ -162,47 +162,55 @@ def _th5_5(n: int) -> int:
     return (n + 1) * factorial(n - 1)
 
 
+# each id maps to (claim, evaluator); the claim restates the identity
+# b_n = formula(n) for human readers and fills every registry entry's claim
 _EVALUATORS = {
-    "EQ1": _eq1,
-    "EQ2": _eq2,
-    "EQ3": _eq3,
-    "EQ4": _eq4,
-    "EQ5": _eq5,
-    "EQ6": _eq6,
-    "EQ7": _eq7,
-    "EQ8": _eq8,
-    "EQ9": _eq9,
-    "EQ10": _eq10,
-    "EQ11": _eq11,
-    "EQ12": _eq12,
-    "EQ13": _eq13,
-    "EQ13A": _eq13a,
-    "TH4_1": lambda n: 0,
-    "TH4_2": lambda n: 2 * n,
-    "TH4_3": lambda n: 1 + binomial(n + 1, 2),
-    "TH4_4": lambda n: 2**n,
-    "TH4_5": lambda n: 2 * factorial(n),
-    "TH4_6": lambda n: sum(factorial(j) for j in range(n + 1)),
+    "EQ1": ("b_n = sum_k C(n,k)^2 k!", _eq1),
+    "EQ2": ("b_n = (n+1)!", _eq2),
+    "EQ3": ("b_n = C(2n, n)", _eq3),
+    "EQ4": ("b_n = n b_{n-1} + sum_i C(n-1,i) i!", _eq4),
+    "EQ5": ("b_n = 2 sum over compositions of n of prod(part!)", _eq5),
+    "EQ6": (
+        "b_n = sum_d sum over weak compositions of n-d into d+1 parts of prod(part!)",
+        _eq6,
+    ),
+    "EQ7": ("b_n = catalan(n+1)", _eq7),
+    "EQ8": ("b_n = n! + sum_{j=1..n} n!/j", _eq8),
+    "EQ9": ("b_n = sum_{j=0..n} n!/j!", _eq9),
+    "EQ10": ("b_n = fibonacci(2n+1)", _eq10),
+    "EQ11": ("b_n = n^2 + 1", _eq11),
+    "EQ12": ("b_n = 2^{n+1} - (n+1)", _eq12),
+    "EQ13": ("b_n = n! + sum_{j=1..n} sum_{p+q=n-j} p! q!", _eq13),
+    "EQ13A": ("b_n = sum_j j! (n-j)!", _eq13a),
+    "TH4_1": ("b_n = 0", lambda n: 0),
+    "TH4_2": ("b_n = 2n", lambda n: 2 * n),
+    "TH4_3": ("b_n = 1 + C(n+1, 2)", lambda n: 1 + binomial(n + 1, 2)),
+    "TH4_4": ("b_n = 2^n", lambda n: 2**n),
+    "TH4_5": ("b_n = 2 n!", lambda n: 2 * factorial(n)),
+    "TH4_6": ("b_n = sum_{j=0..n} j!", lambda n: sum(factorial(j) for j in range(n + 1))),
     # two disjoint cases, added: all letters barred (n! words), or exactly
     # one unbarred letter with larger magnitudes before it and smaller after
-    "TH4_7": lambda n: factorial(n)
-    + sum(factorial(j) * factorial(n - 1 - j) for j in range(n)),
-    "TH5_1": lambda n: 0,
-    "TH5_2": lambda n: 3,
-    "TH5_3": lambda n: n + 1,
-    "TH5_4": lambda n: 1 + factorial(n),
-    "TH5_5": _th5_5,
-    "TH6_1": lambda n: 0,
-    "TH6_2": lambda n: 2,
-    "TH6_3": lambda n: factorial(n),
-    "TH7_1": lambda n: 0,
-    "TH7_2": lambda n: 1,
-    "COR_EXTU1": lambda n: 2 * n,
-    "COR_EXTU2": lambda n: 2**n,
-    "COR_EXTU3": lambda n: 1 + binomial(n + 1, 2),
-    "COR_EXTU4": lambda n: 2 * factorial(n),
-    "COR_EXTU5": lambda n: 2**n,
-    "EMPTYSET": lambda n: 2**n * factorial(n),
+    "TH4_7": (
+        "b_n = n! + sum_{j<n} j! (n-1-j)!",
+        lambda n: factorial(n)
+        + sum(factorial(j) * factorial(n - 1 - j) for j in range(n)),
+    ),
+    "TH5_1": ("b_n = 0", lambda n: 0),
+    "TH5_2": ("b_n = 3", lambda n: 3),
+    "TH5_3": ("b_n = n + 1", lambda n: n + 1),
+    "TH5_4": ("b_n = 1 + n!", lambda n: 1 + factorial(n)),
+    "TH5_5": ("b_n = (n+1)(n-1)!", _th5_5),
+    "TH6_1": ("b_n = 0", lambda n: 0),
+    "TH6_2": ("b_n = 2", lambda n: 2),
+    "TH6_3": ("b_n = n!", lambda n: factorial(n)),
+    "TH7_1": ("b_n = 0", lambda n: 0),
+    "TH7_2": ("b_n = 1", lambda n: 1),
+    "COR_EXTU1": ("b_n = 2n", lambda n: 2 * n),
+    "COR_EXTU2": ("b_n = 2^n", lambda n: 2**n),
+    "COR_EXTU3": ("b_n = 1 + C(n+1, 2)", lambda n: 1 + binomial(n + 1, 2)),
+    "COR_EXTU4": ("b_n = 2 n!", lambda n: 2 * factorial(n)),
+    "COR_EXTU5": ("b_n = 2^n", lambda n: 2**n),
+    "EMPTYSET": ("b_n = 2^n n!", lambda n: 2**n * factorial(n)),
 }
 
 FORMULA_IDS: tuple[str, ...] = tuple(_EVALUATORS)
@@ -213,7 +221,7 @@ def eval_formula(formula_id: str, n: int) -> int:
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
     try:
-        fn = _EVALUATORS[formula_id]
+        _, fn = _EVALUATORS[formula_id]
     except KeyError:
         raise UnknownFormulaError(f"unknown formula id {formula_id!r}") from None
     return fn(n)
@@ -235,8 +243,9 @@ class RegistryEntry(NamedTuple):
     claim: str
 
 
-def _entry(name: str, text: str, formula: str, min_n: int, claim: str) -> RegistryEntry:
+def _entry(name: str, text: str, formula: str, min_n: int) -> RegistryEntry:
     ps = PatternSet.parse(text)
+    claim = _EVALUATORS[formula][0]
     return RegistryEntry(name, ps, canonical_representative(ps), formula, min_n, claim)
 
 
@@ -252,126 +261,83 @@ def registry() -> tuple[RegistryEntry, ...]:
     """
     e = _entry
     return (
-        e("empty", "", "EMPTYSET", 0, "b_n = 2^n n!"),
+        e("empty", "", "EMPTYSET", 0),
         # one orbit per singleton class
-        e("{1 2}", "1 2", "EQ1", 0, "b_n = sum_k C(n,k)^2 k!"),
-        e("{1 -2}", "1 -2", "EQ1", 0, "b_n = sum_k C(n,k)^2 k!"),
+        e("{1 2}", "1 2", "EQ1", 0),
+        e("{1 -2}", "1 -2", "EQ1", 0),
         # pair classes
-        e("{1 2, 2 1}", "1 2, 2 1", "EQ2", 0, "b_n = (n+1)!"),
-        e("{1 2, 1 -2}", "1 2, 1 -2", "EQ2", 0, "b_n = (n+1)!"),
-        e("{1 -2, 2 -1}", "1 -2, 2 -1", "EQ2", 0, "b_n = (n+1)!"),
-        e("{-1 2, 2 -1}", "-1 2, 2 -1", "EQ2", 0, "b_n = (n+1)!"),
-        e("{1 2, -1 -2}", "1 2, -1 -2", "EQ3", 0, "b_n = C(2n, n)"),
-        e("{1 2, -2 -1}", "1 2, -2 -1", "EQ3", 0, "b_n = C(2n, n)"),
-        e(
-            "{1 2, -2 1}",
-            "1 2, -2 1",
-            "EQ4",
-            0,
-            "b_n = n b_{n-1} + sum_i C(n-1,i) i!",
-        ),
-        e(
-            "{1 -2, -1 2}",
-            "1 -2, -1 2",
-            "EQ5",
-            0,
-            "b_n = 2 sum over compositions of n of prod(part!)",
-        ),
+        e("{1 2, 2 1}", "1 2, 2 1", "EQ2", 0),
+        e("{1 2, 1 -2}", "1 2, 1 -2", "EQ2", 0),
+        e("{1 -2, 2 -1}", "1 -2, 2 -1", "EQ2", 0),
+        e("{-1 2, 2 -1}", "-1 2, 2 -1", "EQ2", 0),
+        e("{1 2, -1 -2}", "1 2, -1 -2", "EQ3", 0),
+        e("{1 2, -2 -1}", "1 2, -2 -1", "EQ3", 0),
+        e("{1 2, -2 1}", "1 2, -2 1", "EQ4", 0),
+        e("{1 -2, -1 2}", "1 -2, -1 2", "EQ5", 0),
         # triple sets
-        e(
-            "T_1",
-            "1 2, 1 -2, -1 2",
-            "EQ6",
-            0,
-            "b_n = sum_d sum over weak compositions of n-d into d+1 parts of prod(part!)",
-        ),
-        e("T_2", "1 2, 1 -2, -1 -2", "EQ7", 0, "b_n = catalan(n+1)"),
-        e("T_3", "1 2, 1 -2, 2 1", "EQ8", 0, "b_n = n! + sum_{j=1..n} n!/j"),
-        e("T_4", "1 2, 1 -2, 2 -1", "EQ9", 0, "b_n = sum_{j=0..n} n!/j!"),
-        e("T_5", "1 2, 1 -2, -2 1", "EQ9", 0, "b_n = sum_{j=0..n} n!/j!"),
-        e("T_6", "1 2, 1 -2, -2 -1", "EQ10", 0, "b_n = fibonacci(2n+1)"),
-        e("T_7", "1 2, -1 -2, 2 1", "EQ11", 0, "b_n = n^2 + 1"),
-        e("T_8", "1 2, -1 -2, 2 -1", "EQ12", 0, "b_n = 2^{n+1} - (n+1)"),
-        e(
-            "T_9",
-            "1 2, 2 -1, -2 1",
-            "EQ13",
-            0,
-            "b_n = n! + sum_{j=1..n} sum_{p+q=n-j} p! q!",
-        ),
-        e("T_10", "1 -2, -1 2, 2 -1", "EQ13A", 0, "b_n = sum_j j! (n-j)!"),
+        e("T_1", "1 2, 1 -2, -1 2", "EQ6", 0),
+        e("T_2", "1 2, 1 -2, -1 -2", "EQ7", 0),
+        e("T_3", "1 2, 1 -2, 2 1", "EQ8", 0),
+        e("T_4", "1 2, 1 -2, 2 -1", "EQ9", 0),
+        e("T_5", "1 2, 1 -2, -2 1", "EQ9", 0),
+        e("T_6", "1 2, 1 -2, -2 -1", "EQ10", 0),
+        e("T_7", "1 2, -1 -2, 2 1", "EQ11", 0),
+        e("T_8", "1 2, -1 -2, 2 -1", "EQ12", 0),
+        e("T_9", "1 2, 2 -1, -2 1", "EQ13", 0),
+        e("T_10", "1 -2, -1 2, 2 -1", "EQ13A", 0),
         # quadruple sets
-        e("U4_1", "1 2, 1 -2, -1 2, -1 -2", "TH4_4", 3, "b_n = 2^n"),
-        e("U4_2", "1 2, 1 -2, -1 2, 2 1", "TH4_7", 3,
-          "b_n = n! + sum_{j<n} j! (n-1-j)!"),
-        e("U4_3", "1 2, 1 -2, -1 2, 2 -1", "TH4_6", 3, "b_n = sum_{j=0..n} j!"),
-        e("U4_4", "1 2, 1 -2, -1 2, -2 -1", "TH4_3", 3, "b_n = 1 + C(n+1, 2)"),
-        e("U4_5", "1 2, 1 -2, -1 -2, 2 1", "TH4_3", 3, "b_n = 1 + C(n+1, 2)"),
-        e("U4_6", "1 2, 1 -2, -1 -2, 2 -1", "TH4_4", 3, "b_n = 2^n"),
-        e("U4_7", "1 2, 1 -2, -1 -2, -2 1", "TH4_4", 3, "b_n = 2^n"),
-        e("U4_8", "1 2, 1 -2, 2 1, 2 -1", "TH4_5", 3, "b_n = 2 n!"),
-        e("U4_9", "1 2, 1 -2, 2 1, -2 1", "TH4_5", 3, "b_n = 2 n!"),
-        e("U4_10", "1 2, 1 -2, 2 1, -2 -1", "TH4_2", 3, "b_n = 2n"),
-        e("U4_11", "1 2, 1 -2, 2 -1, -2 1", "TH4_6", 3, "b_n = sum_{j=0..n} j!"),
-        e("U4_12", "1 2, 1 -2, 2 -1, -2 -1", "TH4_4", 3, "b_n = 2^n"),
-        e("U4_13", "1 2, 1 -2, -2 1, -2 -1", "TH4_4", 3, "b_n = 2^n"),
-        e("U4_14", "1 2, -1 -2, 2 1, -2 -1", "TH4_1", 3, "b_n = 0"),
-        e("U4_15", "1 2, -1 -2, 2 -1, -2 1", "TH4_2", 3, "b_n = 2n"),
-        e("U4_16", "1 -2, -1 2, 2 -1, -2 1", "TH4_5", 3, "b_n = 2 n!"),
+        e("U4_1", "1 2, 1 -2, -1 2, -1 -2", "TH4_4", 3),
+        e("U4_2", "1 2, 1 -2, -1 2, 2 1", "TH4_7", 3),
+        e("U4_3", "1 2, 1 -2, -1 2, 2 -1", "TH4_6", 3),
+        e("U4_4", "1 2, 1 -2, -1 2, -2 -1", "TH4_3", 3),
+        e("U4_5", "1 2, 1 -2, -1 -2, 2 1", "TH4_3", 3),
+        e("U4_6", "1 2, 1 -2, -1 -2, 2 -1", "TH4_4", 3),
+        e("U4_7", "1 2, 1 -2, -1 -2, -2 1", "TH4_4", 3),
+        e("U4_8", "1 2, 1 -2, 2 1, 2 -1", "TH4_5", 3),
+        e("U4_9", "1 2, 1 -2, 2 1, -2 1", "TH4_5", 3),
+        e("U4_10", "1 2, 1 -2, 2 1, -2 -1", "TH4_2", 3),
+        e("U4_11", "1 2, 1 -2, 2 -1, -2 1", "TH4_6", 3),
+        e("U4_12", "1 2, 1 -2, 2 -1, -2 -1", "TH4_4", 3),
+        e("U4_13", "1 2, 1 -2, -2 1, -2 -1", "TH4_4", 3),
+        e("U4_14", "1 2, -1 -2, 2 1, -2 -1", "TH4_1", 3),
+        e("U4_15", "1 2, -1 -2, 2 -1, -2 1", "TH4_2", 3),
+        e("U4_16", "1 -2, -1 2, 2 -1, -2 1", "TH4_5", 3),
         # quintuple sets
-        e("W_1", "1 2, 1 -2, -1 2, -1 -2, 2 1", "TH5_3", 3, "b_n = n + 1"),
-        e("W_2", "1 2, 1 -2, -1 2, -1 -2, 2 -1", "TH5_3", 3, "b_n = n + 1"),
-        e("W_3", "1 2, 1 -2, -1 2, 2 1, 2 -1", "TH5_5", 3, "b_n = (n+1)(n-1)!"),
-        e("W_4", "1 2, 1 -2, -1 2, 2 1, -2 -1", "TH5_2", 3, "b_n = 3"),
-        e("W_5", "1 2, 1 -2, -1 2, 2 -1, -2 1", "TH5_4", 3, "b_n = 1 + n!"),
-        e("W_6", "1 2, 1 -2, -1 2, 2 -1, -2 -1", "TH5_3", 3, "b_n = n + 1"),
-        e("W_7", "1 2, 1 -2, -1 -2, 2 1, 2 -1", "TH5_3", 3, "b_n = n + 1"),
-        e("W_8", "1 2, 1 -2, -1 -2, 2 1, -2 1", "TH5_3", 3, "b_n = n + 1"),
-        e("W_9", "1 2, 1 -2, -1 -2, 2 1, -2 -1", "TH5_1", 3, "b_n = 0"),
-        e("W_10", "1 2, 1 -2, -1 -2, 2 -1, -2 1", "TH5_3", 3, "b_n = n + 1"),
+        e("W_1", "1 2, 1 -2, -1 2, -1 -2, 2 1", "TH5_3", 3),
+        e("W_2", "1 2, 1 -2, -1 2, -1 -2, 2 -1", "TH5_3", 3),
+        e("W_3", "1 2, 1 -2, -1 2, 2 1, 2 -1", "TH5_5", 3),
+        e("W_4", "1 2, 1 -2, -1 2, 2 1, -2 -1", "TH5_2", 3),
+        e("W_5", "1 2, 1 -2, -1 2, 2 -1, -2 1", "TH5_4", 3),
+        e("W_6", "1 2, 1 -2, -1 2, 2 -1, -2 -1", "TH5_3", 3),
+        e("W_7", "1 2, 1 -2, -1 -2, 2 1, 2 -1", "TH5_3", 3),
+        e("W_8", "1 2, 1 -2, -1 -2, 2 1, -2 1", "TH5_3", 3),
+        e("W_9", "1 2, 1 -2, -1 -2, 2 1, -2 -1", "TH5_1", 3),
+        e("W_10", "1 2, 1 -2, -1 -2, 2 -1, -2 1", "TH5_3", 3),
         # sextuple sets; the zero identities start at n = 3 because at
         # n = 2 the two patterns outside the set are still realized, so
         # b_2 = 2 there, not 0
-        e("V_1", "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1", "TH6_2", 2, "b_n = 2"),
-        e("V_2", "1 2, 1 -2, -1 2, -1 -2, 2 1, -2 -1", "TH6_1", 3, "b_n = 0"),
-        e("V_3", "1 2, 1 -2, -1 2, -1 -2, 2 -1, -2 1", "TH6_2", 2, "b_n = 2"),
-        e("V_4", "1 2, 1 -2, -1 2, 2 1, 2 -1, -2 1", "TH6_3", 2, "b_n = n!"),
-        e("V_5", "1 2, 1 -2, -1 2, 2 1, 2 -1, -2 -1", "TH6_2", 2, "b_n = 2"),
-        e("V_6", "1 2, 1 -2, -1 2, 2 -1, -2 1, -2 -1", "TH6_2", 2, "b_n = 2"),
-        e("V_7", "1 2, 1 -2, -1 -2, 2 1, 2 -1, -2 -1", "TH6_1", 3, "b_n = 0"),
-        e("V_8", "1 2, 1 -2, -1 -2, 2 1, -2 1, -2 -1", "TH6_1", 3, "b_n = 0"),
+        e("V_1", "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1", "TH6_2", 2),
+        e("V_2", "1 2, 1 -2, -1 2, -1 -2, 2 1, -2 -1", "TH6_1", 3),
+        e("V_3", "1 2, 1 -2, -1 2, -1 -2, 2 -1, -2 1", "TH6_2", 2),
+        e("V_4", "1 2, 1 -2, -1 2, 2 1, 2 -1, -2 1", "TH6_3", 2),
+        e("V_5", "1 2, 1 -2, -1 2, 2 1, 2 -1, -2 -1", "TH6_2", 2),
+        e("V_6", "1 2, 1 -2, -1 2, 2 -1, -2 1, -2 -1", "TH6_2", 2),
+        e("V_7", "1 2, 1 -2, -1 -2, 2 1, 2 -1, -2 -1", "TH6_1", 3),
+        e("V_8", "1 2, 1 -2, -1 -2, 2 1, -2 1, -2 -1", "TH6_1", 3),
         # seven and eight patterns
-        e(
-            "U78_1",
-            "1 2, 2 1, -1 2, 1 -2, -1 -2, 2 -1, -2 1, -2 -1",
-            "TH7_1",
-            3,
-            "b_n = 0",
-        ),
-        e(
-            "U78_2",
-            "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1, -2 -1",
-            "TH7_1",
-            3,
-            "b_n = 0",
-        ),
-        e(
-            "U78_3",
-            "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1, -2 1",
-            "TH7_2",
-            3,
-            "b_n = 1",
-        ),
+        e("U78_1", "1 2, 2 1, -1 2, 1 -2, -1 -2, 2 -1, -2 1, -2 -1", "TH7_1", 3),
+        e("U78_2", "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1, -2 -1", "TH7_1", 3),
+        e("U78_3", "1 2, 1 -2, -1 2, -1 -2, 2 1, 2 -1, -2 1", "TH7_2", 3),
         # extensions of the triple sets by one never-realized pattern
-        e("T_8+{2 1}", "1 2, -1 -2, 2 -1, 2 1", "COR_EXTU1", 1, "b_n = 2n"),
-        e("T_8+{-2 1}", "1 2, -1 -2, 2 -1, -2 1", "COR_EXTU1", 1, "b_n = 2n"),
-        e("T_1+{-1 -2}", "1 2, 1 -2, -1 2, -1 -2", "COR_EXTU2", 0, "b_n = 2^n"),
-        e("T_1+{-2 -1}", "1 2, 1 -2, -1 2, -2 -1", "COR_EXTU3", 2, "b_n = 1 + C(n+1, 2)"),
-        e("T_3+{-1 -2}", "1 2, 1 -2, 2 1, -1 -2", "COR_EXTU3", 0, "b_n = 1 + C(n+1, 2)"),
-        e("T_4+{-1 -2}", "1 2, 1 -2, 2 -1, -1 -2", "COR_EXTU5", 1, "b_n = 2^n"),
-        e("T_4+{-2 -1}", "1 2, 1 -2, 2 -1, -2 -1", "COR_EXTU5", 1, "b_n = 2^n"),
-        e("T_4+{2 1}", "1 2, 1 -2, 2 -1, 2 1", "COR_EXTU4", 1, "b_n = 2 n!"),
-        e("T_5+{-2 -1}", "1 2, 1 -2, -2 1, -2 -1", "COR_EXTU5", 0, "b_n = 2^n"),
+        e("T_8+{2 1}", "1 2, -1 -2, 2 -1, 2 1", "COR_EXTU1", 1),
+        e("T_8+{-2 1}", "1 2, -1 -2, 2 -1, -2 1", "COR_EXTU1", 1),
+        e("T_1+{-1 -2}", "1 2, 1 -2, -1 2, -1 -2", "COR_EXTU2", 0),
+        e("T_1+{-2 -1}", "1 2, 1 -2, -1 2, -2 -1", "COR_EXTU3", 2),
+        e("T_3+{-1 -2}", "1 2, 1 -2, 2 1, -1 -2", "COR_EXTU3", 0),
+        e("T_4+{-1 -2}", "1 2, 1 -2, 2 -1, -1 -2", "COR_EXTU5", 1),
+        e("T_4+{-2 -1}", "1 2, 1 -2, 2 -1, -2 -1", "COR_EXTU5", 1),
+        e("T_4+{2 1}", "1 2, 1 -2, 2 -1, 2 1", "COR_EXTU4", 1),
+        e("T_5+{-2 -1}", "1 2, 1 -2, -2 1, -2 -1", "COR_EXTU5", 0),
     )
 
 

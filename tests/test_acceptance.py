@@ -223,9 +223,9 @@ def test_criterion_9_persistence_and_mutation(tmp_path, monkeypatch, capsys):
 
         rng = random.Random(97)
         victim = rng.choice(sorted(formulas.FORMULA_IDS))
-        original = formulas._EVALUATORS[victim]
+        claim, original = formulas._EVALUATORS[victim]
         monkeypatch.setitem(
-            formulas._EVALUATORS, victim, lambda n: original(n) + 1
+            formulas._EVALUATORS, victim, (claim, lambda n: original(n) + 1)
         )
         assert cli_main(["verify", "--n-max", "4"]) == 1
         capsys.readouterr()

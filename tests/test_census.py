@@ -229,7 +229,8 @@ class TestVerifyRegistry:
         assert by_name["T_1"].holds_below == ()
 
     def test_detects_a_broken_formula(self, monkeypatch):
-        monkeypatch.setitem(formulas._EVALUATORS, "EQ11", lambda n: n * n + 2)
+        claim = formulas._EVALUATORS["EQ11"][0]
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ11", (claim, lambda n: n * n + 2))
         report = verify_registry(3)
         assert report.mismatch_count == 1
         bad = [c for c in report.checks if c.status == "mismatch"]
@@ -280,7 +281,8 @@ class TestSerialization:
         return (json.dumps(doc, indent=2) + "\n").encode()
 
     def test_json_matches_json_dumps_with_details(self, monkeypatch):
-        monkeypatch.setitem(formulas._EVALUATORS, "EQ11", lambda n: n * n + 2)
+        claim = formulas._EVALUATORS["EQ11"][0]
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ11", (claim, lambda n: n * n + 2))
         table = run_census(4)
         assert any(r.verification_details for r in table.records)
         assert export(table) == self.reference_json(table)
@@ -406,6 +408,10 @@ class TestSerialization:
             ("sequence", ["1", 2]),
             ("sequence", ["1", "-2"]),
             ("sequence", ["1", " 2"]),
+            ("members", 5),
+            ("members", None),
+            ("representative", [[1.0, 2.0]]),
+            ("members", [[[True, 2]]]),
         ],
     )
     def test_load_rejects_mistyped_fields(self, tmp_path, key, value):

@@ -255,7 +255,8 @@ class TestCensus:
         assert cache.read_bytes() == before
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(formulas._EVALUATORS, "EQ12", lambda n: 2**n - n)
+        claim = formulas._EVALUATORS["EQ12"][0]
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ12", (claim, lambda n: 2**n - n))
         code, out, _ = run(capsys, "census", "--n-max", "3")
         assert code == 1
         doc = json.loads(out)
@@ -352,7 +353,8 @@ class TestVerify:
         assert {s["claimed"] for s in doc["superseded"]} == {"4", "24"}
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setitem(formulas._EVALUATORS, "EQ12", lambda n: 2**n - n)
+        claim = formulas._EVALUATORS["EQ12"][0]
+        monkeypatch.setitem(formulas._EVALUATORS, "EQ12", (claim, lambda n: 2**n - n))
         code, out, _ = run(capsys, "verify", "--n-max", "3")
         assert code == 1
         assert any(l.startswith("FAIL T_8") for l in out.splitlines())
@@ -416,7 +418,7 @@ class TestImports:
         "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
         "factorial", "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
         "IDENTITY", "iterate_Bn", "load_cache", "MagnitudeOutOfRangeError", "MASK",
-        "mask_histogram", "MaskHistogram", "METHODS", "NAIVE", "Orbit",
+        "mask_histogram", "METHODS", "NAIVE", "Orbit",
         "orbit_census_by_size", "orbit_of_set", "pair_index", "pair_pattern", "Pattern",
         "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal",
         "run_census", "SchemaError", "SignedPermutation", "SupersededClaim",
@@ -464,8 +466,8 @@ class TestImports:
             "code = cli.main(['count', '--method', 'mask',"
             " '--patterns', '1 2', '--n', '6'])\n"
             "print(code, 'numpy' in sys.modules)\n"
-            # 8! magnitude words exceed the default chunk at n=8, where a
-            # process pool used to split them; the oracle starts none
+            # 8! magnitude words span three blocks at n=8, where a process
+            # pool used to split them; the oracle starts none
             "code = cli.main(['count', '--method', 'mask',"
             " '--patterns', '1 2', '--n', '8'])\n"
             "print(code, 'concurrent.futures.process' not in sys.modules)\n"

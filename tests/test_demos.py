@@ -2,6 +2,7 @@
 
 import ast
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 
 import signedperms
 from signedperms import load_cache
+from signedperms.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
@@ -63,3 +65,18 @@ def test_readme_quickstart_gives_its_commented_results():
         else:
             exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
     assert values == [132, 132, 13327, (1, 2, 7, 34, 209, 1546, 13327)]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # run each command of the README's CLI block in a fresh directory,
+    # since the census line writes census.json there
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    lines = [l for l in block.splitlines() if l.strip() and not l.startswith("#")]
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "signedperms", line
+        assert cli_main(argv[1:]) == 0, line
+        capsys.readouterr()
+    assert load_cache(tmp_path / "census.json").n_max == 6
