@@ -1,7 +1,8 @@
 """Four counting engines, one answer.
 
-The transfer engine, the default, never visits a word: it walks a memo of
-gap states and counts all 256 pattern sets at every order in one pass.
+The transfer engine, the default, never visits a word: it builds gap
+states layer by layer and counts all 256 pattern sets at every order in
+one pass.
 The other three are oracles.  The naive engine filters all 2^n n! words.
 The backtracking engine prunes prefixes that already realize a forbidden
 pattern.  The mask engine makes one vectorized pass over the whole group,

@@ -1,7 +1,7 @@
 """Engines for counting pattern-avoiding signed permutations.
 
-    transfer   memoized gap-state generating tree: b_n(T) for all 256 sets
-               and every order up to n_max in one pass, in time polynomial
+    transfer   gap-state layer recurrence: b_n(T) for all 256 sets and
+               every order up to n_max in one pass, in time polynomial
                in n_max; the core behind every command that counts.  Each
                state's 256 counts are packed into fields of one Python int,
                wide enough for 2^n_max n_max!, the most any count or
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     DEFAULT_CAP,
@@ -121,6 +121,18 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
     return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
 
 
+def _layer_states(k: int, n_max: int) -> Iterator[tuple[int, int, int, int]]:
+    # (lu, hu, lb, hb) of layer k's states reached from orders <= n_max: a half
+    # is absent, gaps (k, 0), or, if k > 0, spans gaps lo <= hi, needing one used
+    # magnitude if lo == hi and two otherwise; both need n_max - k at most
+    spans = [(lo, hi, 1 + (lo < hi)) for lo in range(k + 1) for hi in range(lo, k + 1)]
+    halves = [(k, 0, 0)] + (spans if k else [])
+    for lu, hu, need_u in halves:
+        for lb, hb, need_b in halves:
+            if need_u + need_b <= n_max - k:
+                yield lu, hu, lb, hb
+
+
 def transfer_all_orders(
     n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
 ) -> list[dict[PatternSet, int]]:
@@ -135,9 +147,9 @@ def transfer_all_orders(
     among the unused magnitudes (gap g holds used magnitudes with exactly
     g unused ones below them; an absent min is gap k, an absent max gap
     0).  Each state maps to the counts of its completions avoiding each of
-    the 256 sets T, memoized across orders, since order k starts at
-    (k; k, 0, k, 0).  The state count grows polynomially in n_max, not as
-    2^n n!.
+    the 256 sets T by a layer recurrence: layer k, the states with k unused
+    magnitudes, comes from layer k - 1 alone, and order k is (k; k, 0, k, 0).
+    The state count grows polynomially in n_max, not as 2^n n!.
 
     The 256 counts of a state are packed into one Python int, the count
     for T in bits [W*T, W*(T+1)) with W the bit length of 2^n_max n_max!.
@@ -151,8 +163,6 @@ def transfer_all_orders(
     check_cap(n_max, cap)
     if n_min < 0:
         raise ValueError(f"order must be nonnegative, got {n_min}")
-    ext_u = _EXTEND_UNBARRED
-    ext_b = _EXTEND_BARRED
     width = ((1 << n_max) * math.factorial(n_max)).bit_length()
     field = (1 << width) - 1
 
@@ -168,44 +178,34 @@ def transfer_all_orders(
 
     # keep[s] (unbarred move) and keep[16 + s] (barred move): all-ones
     # fields of the sets that a move with summary s avoids
-    keep = [ones(added) * field for added in ext_u + ext_b]
-    # (0; 0, 0, 0, 0) is the only state with k = 0, so completions, which
-    # callers run only after a memo miss, always sees k >= 1; no vector is
-    # 0, since the empty set's field counts every completion
-    memo: dict[tuple[int, int, int, int, int], int] = {(0, 0, 0, 0, 0): ones(0)}
-    get = memo.get
-
-    def completions(state: tuple[int, int, int, int, int]) -> int:
-        k, lu, hu, lb, hb = state
-        k1, hu1, hb1 = k - 1, hu - 1, hb - 1
-        vec = 0
-        # the four gap indices cut the unused magnitudes j = 0..k-1 into
-        # intervals [a, b) on which j compares with each index as a does, so
-        # the summary s and the shape of both successors are fixed there:
-        # sum an interval's successors first and apply its two keep masks
-        # once; fields never carry, so (x + y) & K == (x & K) + (y & K)
-        cuts = sorted({0, k, lu, hu, lb, hb})
-        for a, b in zip(cuts, cuts[1:]):
-            A, B, C, D = a < lu, a < hu, a < lb, a < hb
-            s = (not A) | B << 1 | (not C) << 2 | D << 3
-            # taking the j-th unused magnitude merges gaps j and j + 1
-            ulb, uhb, blu, bhu = lb - C, hb - D, lu - A, hu - B
-            acc_u = acc_b = 0
-            for j in range(a, b):
-                nxt = (k1, j if A else lu, hu1 if B else j, ulb, uhb)
-                acc_u += get(nxt) or completions(nxt)
-                nxt = (k1, blu, bhu, j if C else lb, hb1 if D else j)
-                acc_b += get(nxt) or completions(nxt)
-            vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
-        memo[state] = vec
-        return vec
-
+    keep = [ones(added) * field for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
     sets = [PatternSet(t) for t in range(256)]
     out = []
-    for n in range(n_min, n_max + 1):
-        start = (n, n, 0, n, 0)
-        vec = get(start) or completions(start)
-        out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
+    layer: dict[tuple[int, int, int, int], int] = {}
+    for k in range(n_max + 1):
+        prev, layer = layer, {}
+        for lu, hu, lb, hb in _layer_states(k, n_max):
+            vec = 0 if k else ones(0)  # at k = 0 the empty completion avoids all T
+            # the four gap indices cut the unused magnitudes j = 0..k-1 into
+            # intervals [a, b) on which j compares with each index as a does,
+            # so the summary s and the shape of both successors are fixed
+            # there: sum an interval's successors first and apply its two keep
+            # masks once; fields never carry, so (x + y) & K == (x & K) + (y & K)
+            cuts = sorted({0, k, lu, hu, lb, hb})
+            for a, b in zip(cuts, cuts[1:]):
+                A, B, C, D = a < lu, a < hu, a < lb, a < hb
+                s = (not A) | B << 1 | (not C) << 2 | D << 3
+                # taking the j-th unused magnitude merges gaps j and j + 1
+                lu1, hu1, lb1, hb1 = lu - A, hu - B, lb - C, hb - D
+                acc_u = acc_b = 0
+                for j in range(a, b):
+                    acc_u += prev[j if A else lu, hu1 if B else j, lb1, hb1]
+                    acc_b += prev[lu1, hu1, j if C else lb, hb1 if D else j]
+                vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
+            layer[lu, hu, lb, hb] = vec
+        if k >= n_min:
+            vec = layer[k, 0, k, 0]
+            out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
     return out
 
 

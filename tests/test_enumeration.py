@@ -1,7 +1,10 @@
 """Agreement and correctness of the counting engines."""
 
 import functools
+import gc
+import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +230,42 @@ class TestTransfer:
             transfer_all_orders(12)
         with pytest.raises(ValueError):
             transfer_all_orders(3, n_min=-1)
+
+    def test_layers_are_the_reachable_states(self):
+        # a prefix's gap state depends only on which magnitudes it uses,
+        # unbarred or barred, so the 3^n role assignments stand for every
+        # signed prefix of order n; shorter orders add their start states
+        layer_states = enumeration._layer_states
+        for n_max, size in ((4, 48), (5, 106), (6, 221)):
+            reached = {(k, k, 0, k, 0) for k in range(n_max)}
+            for roles in itertools.product((None, 1, -1), repeat=n_max):
+                unused = [m for m, r in enumerate(roles) if r is None]
+                k = len(unused)
+                state = [k]
+                for bar in (1, -1):
+                    used = [m for m, r in enumerate(roles) if r == bar]
+                    gaps = [sum(u < m for u in unused) for m in used]
+                    state += [min(gaps, default=k), max(gaps, default=0)]
+                reached.add(tuple(state))
+            listed = [(k, *s) for k in range(n_max + 1) for s in layer_states(k, n_max)]
+            assert len(listed) == len(reached) == size, n_max
+            assert set(listed) == reached, n_max
+        for n_max, total, largest in ((12, 6644, 2116), (16, 31038, 8464)):
+            sizes = [len(list(layer_states(k, n_max))) for k in range(n_max + 1)]
+            assert (sum(sizes), max(sizes)) == (total, largest), n_max
+
+    def test_returns_without_keeping_its_states(self):
+        # the layers must be freed when the call returns, not left for the
+        # cyclic collector
+        gc.disable()
+        tracemalloc.start()
+        try:
+            transfer_all_orders(10, cap=10)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 1 << 20
 
 
 class TestDispatch:
