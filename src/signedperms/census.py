@@ -36,6 +36,7 @@ class SchemaError(ValueError):
 
 VERIFIED = "verified"
 MISMATCH = "mismatch"
+UNCHECKED = "unchecked"
 ENUMERATION_ONLY = "enumeration_only"
 
 
@@ -44,8 +45,9 @@ class CensusRecord(NamedTuple):
 
     sequence[k] is the number of order-k signed permutations avoiding any
     (equivalently every) member of the orbit.  verification is "verified"
-    when every attached formula matches the sequence on [min_n, n_max],
-    "mismatch" with details otherwise, and "enumeration_only" when no
+    when every attached formula matches the sequence on [min_n, n_max] and
+    one such range is not empty, "unchecked" when all are empty, "mismatch"
+    with details when a formula disagrees, and "enumeration_only" when no
     formula is registered for the orbit.
     """
 
@@ -124,7 +126,8 @@ def _check_registry(
                 entry=entry,
                 first_n=entry.min_n,
                 last_n=n_max,
-                status=MISMATCH if mismatches else VERIFIED,
+                status=MISMATCH if mismatches
+                else VERIFIED if entry.min_n <= n_max else UNCHECKED,
                 mismatches=tuple(mismatches),
                 holds_below=tuple(holds_below),
             )
@@ -166,12 +169,12 @@ def run_census(
             for c in checks
             for m in c.mismatches
         )
-        if not checks:
-            verification = ENUMERATION_ONLY
-        elif details:
-            verification = MISMATCH
-        else:
-            verification = VERIFIED
+        # one mismatch fails an orbit, and one checked range verifies it
+        statuses = {c.status for c in checks}
+        verification = next(
+            (s for s in (MISMATCH, VERIFIED, UNCHECKED) if s in statuses),
+            ENUMERATION_ONLY,
+        )
         records.append(
             CensusRecord(
                 orbit_id=orbit_id,
@@ -395,7 +398,7 @@ def load_cache(path: str | Path) -> CensusTable:
             f"sequence must list exactly n_max + 1 decimal digit strings: {sequence!r}",
         )
         _require(
-            raw["verification"] in (VERIFIED, MISMATCH, ENUMERATION_ONLY),
+            raw["verification"] in (VERIFIED, MISMATCH, UNCHECKED, ENUMERATION_ONLY),
             f"unknown verification value {raw['verification']!r}",
         )
         _require(

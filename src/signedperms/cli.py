@@ -1,9 +1,9 @@
 """Command line interface.
 
 Subcommands: count, sequence, orbits, census, verify.  Output is byte
-identical across runs for the same inputs; timing goes to stderr and only
-under --timing.  Exit codes: 0 success, 1 verification found a mismatch,
-2 usage or input error.
+identical across runs for the same inputs; the whole subcommand's elapsed
+time goes to stderr, and only under --timing.  Exit codes: 0 success,
+1 verification found a mismatch, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .census import (
     MISMATCH,
+    UNCHECKED,
     VERIFIED,
     export,
     load_cache,
@@ -24,7 +25,7 @@ from .census import (
     verify_registry,
 )
 from .core import DEFAULT_CAP, PatternSet, check_cap
-from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
+from .enumeration import METHODS, TRANSFER, _transfer, count
 from .symmetry import all_orbits
 
 
@@ -38,22 +39,9 @@ def _parse_patterns(text: str) -> PatternSet:
     return tset
 
 
-class _Timer:
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-        self.start = time.perf_counter()
-
-    def report(self) -> None:
-        if self.enabled:
-            elapsed = time.perf_counter() - self.start
-            print(f"timing_seconds: {elapsed:.3f}", file=sys.stderr)
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
-    timer = _Timer(args.timing)
     result = count(args.n, tset, method=args.method, cap=args.cap)
-    timer.report()
     if args.format == "json":
         doc = {
             "n": result.n,
@@ -71,15 +59,13 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
     # every engine rejects the order range before any order is counted
     check_cap(args.n_max, args.cap)
-    timer = _Timer(args.timing)
     if args.method == TRANSFER:
-        values = [per[tset] for per in transfer_all_orders(args.n_max, args.cap)]
+        values = [c[0] for c in _transfer(args.n_max, [tset.mask], args.cap)]
     else:
         values = [
             count(n, tset, method=args.method, cap=args.cap).value
             for n in range(args.n_max + 1)
         ]
-    timer.report()
     if args.format == "json":
         doc = {
             "patterns": tset.text(),
@@ -129,9 +115,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
         cache = load_cache(cache_path)
-    timer = _Timer(args.timing)
     table = run_census(args.n_max, cap=args.cap, cache=cache)
-    timer.report()
     data = export(table, args.format)
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
@@ -143,10 +127,11 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
 
 
+_VERDICTS = {VERIFIED: "PASS", UNCHECKED: "SKIP", MISMATCH: "FAIL"}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    timer = _Timer(args.timing)
     report = verify_registry(args.n_max, cap=args.cap)
-    timer.report()
     if args.format == "json":
         doc = {
             "n_max": report.n_max,
@@ -179,7 +164,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         for c in report.checks:
             line = (
-                f"{'PASS' if c.status == VERIFIED else 'FAIL'} "
+                f"{_VERDICTS[c.status]} "
                 f"{c.entry.name} [{c.entry.formula}] n={c.first_n}..{c.last_n}"
             )
             if c.mismatches:
@@ -208,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="largest order allowed (default %(default)s)")
         p.add_argument("--timing", action="store_true",
-                       help="print elapsed seconds to stderr")
+                       help="print the subcommand's elapsed seconds to stderr")
         p.add_argument("--format", choices=formats, default=formats[0],
                        help="output format (default %(default)s)")
 
@@ -257,11 +242,15 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "timing", False):  # orbits has no --timing
+        print(f"timing_seconds: {time.perf_counter() - start:.3f}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

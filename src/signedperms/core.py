@@ -60,8 +60,9 @@ class CapExceededError(ValueError):
 def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
     """Reject negative orders and orders beyond the cap.
 
-    Full enumeration grows as 2^n * n!, so anything past the cap is almost
-    certainly a mistake; callers opt in to more by passing a larger cap.
+    The oracles enumerate 2^n * n! words, so past the cap they are almost
+    certainly a mistake; the transfer engine is polynomial in n and checks
+    the cap only as a guard.  Callers opt in to more with a larger cap.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")

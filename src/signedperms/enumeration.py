@@ -1,11 +1,12 @@
 """Engines for counting pattern-avoiding signed permutations.
 
-    transfer   gap-state layer recurrence: b_n(T) for all 256 sets and
-               every order up to n_max in one pass, in time polynomial
+    transfer   gap-state layer recurrence: b_n(T) for any list of sets T
+               and every order up to n_max in one pass, in time polynomial
                in n_max; the core behind every command that counts.  Each
-               state's 256 counts are packed into fields of one Python int,
-               wide enough for 2^n_max n_max!, the most any count or
-               partial sum can reach, so fields never carry into each other
+               state's counts, one per listed set, are packed into fields
+               of one Python int, wide enough for 2^n_max n_max!, the
+               most any count or partial sum can reach, so fields never
+               carry into each other
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
     mask       vectorized histogram of containment masks over all of B_n,
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     DEFAULT_CAP,
@@ -133,12 +134,13 @@ def _layer_states(k: int, n_max: int) -> Iterator[tuple[int, int, int, int]]:
                 yield lu, hu, lb, hb
 
 
-def transfer_all_orders(
-    n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
-) -> list[dict[PatternSet, int]]:
-    """Avoider counts for all 256 pattern sets at orders n_min..n_max.
+def _transfer(
+    n_max: int, masks: Sequence[int], cap: int = DEFAULT_CAP
+) -> list[list[int]]:
+    """Avoider counts of the listed sets at orders 0..n_max.
 
-    Entry i of the result holds order n_min + i; an empty range gives [].
+    Entry n of the result lists the order-n counts in the order of masks,
+    a sequence of 8-bit pattern-set masks (repeats allowed).
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number
@@ -146,46 +148,34 @@ def transfer_all_orders(
     and max used unbarred magnitudes and the min and max used barred ones
     among the unused magnitudes (gap g holds used magnitudes with exactly
     g unused ones below them; an absent min is gap k, an absent max gap
-    0).  Each state maps to the counts of its completions avoiding each of
-    the 256 sets T by a layer recurrence: layer k, the states with k unused
+    0).  Each state maps to the counts of its completions avoiding each
+    listed set by a layer recurrence: layer k, the states with k unused
     magnitudes, comes from layer k - 1 alone, and order k is (k; k, 0, k, 0).
     The state count grows polynomially in n_max, not as 2^n n!.
 
-    The 256 counts of a state are packed into one Python int, the count
-    for T in bits [W*T, W*(T+1)) with W the bit length of 2^n_max n_max!.
-    A state with k unused magnitudes has 2^k k! completions in all, and
-    every count, and every partial sum of its successors' counts, is at
-    most that, so no field ever overflows into the next: successors are
-    summed by integer addition, and the sets that moves violate are dropped
-    by one AND with a mask of all-ones fields per run of moves sharing a
-    summary and bar.  Unpacked counts are exact Python integers.
+    A state's counts are packed into one Python int, the count for
+    masks[i] in bits [W*i, W*(i+1)) with W the bit length of 2^n_max
+    n_max!.  A state with k unused magnitudes has 2^k k! completions in
+    all, and every count, and every partial sum of its successors' counts,
+    is at most that, so no field ever overflows into the next: successors
+    are summed by integer addition, and the sets that moves violate are
+    dropped by one AND with a mask of all-ones fields per run of moves
+    sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
     check_cap(n_max, cap)
-    if n_min < 0:
-        raise ValueError(f"order must be nonnegative, got {n_min}")
     width = ((1 << n_max) * math.factorial(n_max)).bit_length()
     field = (1 << width) - 1
-
-    def ones(added: int) -> int:
-        # a 1 in the field of every T disjoint from added: the product of
-        # 1 + 2^(width 2^i) over the bits i not in added, carry-free since
-        # every coefficient of the product is 0 or 1
-        total = 1
-        for i in range(8):
-            if not added >> i & 1:
-                total *= 1 + (1 << (width << i))
-        return total
-
+    units = [1 << width * i for i in range(len(masks))]
     # keep[s] (unbarred move) and keep[16 + s] (barred move): all-ones
-    # fields of the sets that a move with summary s avoids
-    keep = [ones(added) * field for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
-    sets = [PatternSet(t) for t in range(256)]
+    # fields of the listed sets that a move with summary s avoids
+    keep = [sum(unit for unit, t in zip(units, masks) if not t & added) * field
+            for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
     out = []
     layer: dict[tuple[int, int, int, int], int] = {}
     for k in range(n_max + 1):
         prev, layer = layer, {}
         for lu, hu, lb, hb in _layer_states(k, n_max):
-            vec = 0 if k else ones(0)  # at k = 0 the empty completion avoids all T
+            vec = 0 if k else sum(units)  # the empty completion avoids every set
             # the four gap indices cut the unused magnitudes j = 0..k-1 into
             # intervals [a, b) on which j compares with each index as a does,
             # so the summary s and the shape of both successors are fixed
@@ -203,10 +193,26 @@ def transfer_all_orders(
                     acc_b += prev[lu1, hu1, j if C else lb, hb1 if D else j]
                 vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
             layer[lu, hu, lb, hb] = vec
-        if k >= n_min:
-            vec = layer[k, 0, k, 0]
-            out.append({ps: vec >> (width * ps.mask) & field for ps in sets})
+        vec = layer[k, 0, k, 0]
+        out.append([vec >> width * i & field for i in range(len(masks))])
     return out
+
+
+_ALL_SETS = [PatternSet(t) for t in range(256)]
+
+
+def transfer_all_orders(
+    n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
+) -> list[dict[PatternSet, int]]:
+    """Avoider counts for all 256 pattern sets at orders n_min..n_max.
+
+    Entry i of the result holds order n_min + i, keyed by pattern set; an
+    empty range gives [].  One pass of _transfer over the 256 masks.
+    """
+    if n_min < 0:
+        raise ValueError(f"order must be nonnegative, got {n_min}")
+    per_order = _transfer(n_max, range(256), cap)[n_min:]
+    return [dict(zip(_ALL_SETS, counts)) for counts in per_order]
 
 
 def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
@@ -281,7 +287,7 @@ def count_mask(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
 
 
 def _count_transfer(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
-    value = transfer_all_orders(n, cap, n_min=n)[0][tset]
+    value = _transfer(n, [tset.mask], cap)[n][0]
     return CountResult(n, tset, value, TRANSFER)
 
 
@@ -301,8 +307,8 @@ def count(
 ) -> CountResult:
     """Count order-n avoiders of tset with the engine named by method.
 
-    The default, transfer, reads order n from one pass of the all-sets
-    engine; naive, backtrack and mask are the oracles.
+    The default, transfer, reads order n from one pass of the transfer
+    engine over tset alone; naive, backtrack and mask are the oracles.
     """
     engine = _ENGINES.get(method)
     if engine is None:

@@ -92,6 +92,21 @@ class TestRunCensus:
         with pytest.raises(RuntimeError, match=re.escape(message)):
             run_census(5)
 
+    @pytest.mark.parametrize("n_max, unchecked", [(0, 34), (1, 29), (2, 23), (3, 0)])
+    def test_empty_ranges_leave_orbits_unchecked(self, n_max, unchecked, tmp_path):
+        # an orbit is verified only if one of its entries' ranges
+        # [min_n, n_max] is not empty
+        min_n = {entry.name: entry.min_n for entry in formulas.registry()}
+        table = run_census(n_max)
+        for rec in table.records:
+            checked = any(min_n[name] <= n_max for name in rec.paper_names)
+            assert rec.verification == ("verified" if checked else "unchecked"), rec
+        statuses = [rec.verification for rec in table.records]
+        assert statuses.count("unchecked") == unchecked
+        # the status survives a round trip through a cache file
+        write_cache(table, tmp_path / "cache.json")
+        assert load_cache(tmp_path / "cache.json") == table
+
     def test_all_verified(self, table5):
         assert {rec.verification for rec in table5.records} == {"verified"}
         for rec in table5.records:
@@ -208,6 +223,15 @@ class TestVerifyRegistry:
         report = verify_registry(16, cap=16)
         assert len(report.checks) == 67
         assert [c.entry.name for c in report.checks if c.mismatches] == []
+        assert report.ok()
+
+    def test_empty_ranges_are_unchecked(self):
+        report = verify_registry(2)
+        for check in report.checks:
+            want = "verified" if check.entry.min_n <= 2 else "unchecked"
+            assert check.status == want, check.entry.name
+        u4_1 = next(c for c in report.checks if c.entry.name == "U4_1")
+        assert (u4_1.status, u4_1.first_n, u4_1.last_n) == ("unchecked", 3, 2)
         assert report.ok()
 
     def test_superseded_claims_are_refuted(self):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import signedperms
-from signedperms import cli, formulas, transfer_all_orders
+from signedperms import cli, formulas
 from signedperms.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -136,9 +136,10 @@ class TestSequence:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return transfer_all_orders(*args, **kwargs)
+            return engine(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "transfer_all_orders", counted)
+        engine = cli._transfer
+        monkeypatch.setattr(cli, "_transfer", counted)
         code, out, _ = run(
             capsys, "sequence", "--patterns", "1 2", "--n-max", "6",
             "--format", "csv",
@@ -351,6 +352,16 @@ class TestVerify:
         assert doc["mismatch_count"] == 0
         assert len(doc["checks"]) == 67
         assert {s["claimed"] for s in doc["superseded"]} == {"4", "24"}
+
+    def test_empty_ranges_skip(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n-max", "2")
+        assert code == 0
+        lines = out.splitlines()
+        assert "SKIP U4_1 [TH4_4] n=3..2" in lines
+        assert not any(l.startswith("FAIL") for l in lines)
+        code, out, _ = run(capsys, "verify", "--n-max", "2", "--format", "json")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert (code, checks["U4_1"]["status"]) == (0, "unchecked")
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
         claim = formulas._EVALUATORS["EQ12"][0]

@@ -268,6 +268,29 @@ class TestTransfer:
         assert left < 1 << 20
 
 
+class TestPackedKernel:
+    # _transfer packs one field per listed mask, in list order
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10), st.lists(st.integers(0, 255), max_size=12))
+    def test_fields_follow_the_list(self, n, masks):
+        packed = enumeration._transfer(n, masks, cap=n)
+        assert len(packed) == n + 1
+        for k, per in enumerate(transfer_to(n)):
+            assert packed[k] == [per[PatternSet(m)] for m in masks], k
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 6), pattern_sets)
+    def test_one_set_matches_naive(self, n, tset):
+        assert enumeration._transfer(n, [tset.mask])[n] == [count_naive(n, tset).value]
+
+    @pytest.mark.parametrize("name", sorted(NAMED_TRIPLES))
+    def test_one_set_matches_backtrack_through_order_8(self, name):
+        tset = PatternSet.parse(NAMED_TRIPLES[name])
+        sequence = [c[0] for c in enumeration._transfer(8, [tset.mask])]
+        assert sequence == [count_backtrack(n, tset).value for n in range(9)]
+
+
 class TestDispatch:
     def test_methods_agree(self):
         tset = PatternSet.parse("1 2, -2 1")
