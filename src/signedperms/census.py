@@ -4,10 +4,11 @@ run_census computes b_0..b_{n_max} for every orbit of pattern sets, checks
 each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry reports the check of every registry entry.  Both take all
-their counts from one call to the transfer engine and their formula checks
-from one loop, _check_registry.  Tables round-trip
-through a JSON schema (export / load_cache); a cached table is checked
-against re-derived counts, never trusted, before a census extends it.
+their counts from one call to the transfer engine over the 256 sets,
+guarded by its memory budget, not by the oracles' order cap, and their
+formula checks from one loop, _check_registry.  Tables round-trip through
+a JSON schema (export / load_cache); a cached table is checked against
+re-derived counts, never trusted, before a census extends it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
-from .core import DEFAULT_CAP, PatternSet
+from .core import PatternSet
 from .enumeration import transfer_all_orders
 from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
@@ -99,11 +100,9 @@ class EntryCheck(NamedTuple):
     holds_below: tuple[int, ...]
 
 
-def _check_registry(
-    per_order: list[dict[PatternSet, int]], n_max: int
-) -> tuple[EntryCheck, ...]:
+def _check_registry(per_order: list[list[int]], n_max: int) -> tuple[EntryCheck, ...]:
     # the one place formulas meet counts: each registry entry, in registry
-    # order, against per_order[n] for n = 0..n_max; each formula id is
+    # order, against per_order[n][mask] for n = 0..n_max; each formula id is
     # evaluated once per order and call, however many entries share it
     ids = dict.fromkeys(entry.formula for entry in registry())
     values = {f: [eval_formula(f, n) for n in range(n_max + 1)] for f in ids}
@@ -112,7 +111,7 @@ def _check_registry(
         mismatches = []
         holds_below = []
         for n in range(n_max + 1):
-            enumerated = per_order[n][entry.patterns]
+            enumerated = per_order[n][entry.patterns.mask]
             expected = values[entry.formula][n]
             if n < entry.min_n:
                 if expected == enumerated:
@@ -135,21 +134,17 @@ def _check_registry(
     return tuple(checks)
 
 
-def run_census(
-    n_max: int,
-    cap: int = DEFAULT_CAP,
-    cache: CensusTable | None = None,
-) -> CensusTable:
+def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
     """Count, verify, and classify all orbits up to order n_max.
 
-    All orders come from one transfer-engine pass.  Each orbit's sequence
-    is read from its representative and checked against every member.  A
-    cache is never trusted: SchemaError is raised unless it is from this
-    version (if it says), holds one record per orbit, in orbit order, with
-    its id and members, and equals the recount at every cached order up to
-    n_max.
+    All orders come from one transfer-engine pass over the 256 sets, whose
+    memory budget admits n_max up to 33.  Each orbit's sequence is read
+    from its representative and checked against every member.  A cache is
+    never trusted: SchemaError is raised unless it is from this version (if
+    it says), holds one record per orbit, in orbit order, with its id and
+    members, and equals the recount at every cached order up to n_max.
     """
-    per_order = transfer_all_orders(n_max, cap=cap)
+    per_order = transfer_all_orders(n_max, range(256))
     by_rep: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(per_order, n_max):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
@@ -157,9 +152,9 @@ def run_census(
     records = []
     for orbit_id, orb in enumerate(all_orbits()):
         rep_mask = orb.representative.mask
-        seq = tuple(counts[orb.representative] for counts in per_order)
+        seq = tuple(counts[rep_mask] for counts in per_order)
         for n, counts in enumerate(per_order):
-            if any(counts[member] != seq[n] for member in orb.members):
+            if any(counts[member.mask] != seq[n] for member in orb.members):
                 raise RuntimeError(
                     f"orbit of {orb.representative} has unequal counts at order {n}"
                 )
@@ -252,7 +247,7 @@ _SUPERSEDED = (
 )
 
 
-def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
+def verify_registry(n_max: int) -> VerificationReport:
     """Check every registered closed form against enumerated counts.
 
     Each entry is checked on [min_n, n_max].  Orders below min_n where the
@@ -260,7 +255,7 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
     The superseded historical claims are recomputed and shown to disagree
     with enumeration at their witness orders.
     """
-    per_order = transfer_all_orders(n_max, cap=cap)
+    per_order = transfer_all_orders(n_max, range(256))
     checks = _check_registry(per_order, n_max)
 
     superseded = []
@@ -274,7 +269,7 @@ def verify_registry(n_max: int, cap: int = DEFAULT_CAP) -> VerificationReport:
                 description=description,
                 n=witness_n,
                 claimed=value_fn(witness_n),
-                enumerated=per_order[witness_n][ps],
+                enumerated=per_order[witness_n][ps.mask],
             )
         )
 

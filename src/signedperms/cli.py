@@ -2,14 +2,16 @@
 
 Subcommands: count, sequence, orbits, census, verify.  Output is byte
 identical across runs for the same inputs; the whole subcommand's elapsed
-time goes to stderr, and only under --timing.  Exit codes: 0 success,
-1 verification found a mismatch, 2 usage or input error.
+time goes to stderr, and only under --timing.  Exit codes: 0 success, 1
+verification found a mismatch, 2 usage or input error, 141 (128 + SIGPIPE)
+with nothing on stderr when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -25,7 +27,7 @@ from .census import (
     verify_registry,
 )
 from .core import DEFAULT_CAP, PatternSet, check_cap
-from .enumeration import METHODS, TRANSFER, _transfer, count
+from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
 from .symmetry import all_orbits
 
 
@@ -57,11 +59,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
-    # every engine rejects the order range before any order is counted
-    check_cap(args.n_max, args.cap)
     if args.method == TRANSFER:
-        values = [c[0] for c in _transfer(args.n_max, [tset.mask], args.cap)]
+        values = [c[0] for c in transfer_all_orders(args.n_max, [tset.mask])]
     else:
+        # an oracle rejects the order range before any order is counted
+        check_cap(args.n_max, args.cap)
         values = [
             count(n, tset, method=args.method, cap=args.cap).value
             for n in range(args.n_max + 1)
@@ -115,7 +117,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     cache_path = Path(args.cache) if args.cache else None
     if cache_path and cache_path.exists():
         cache = load_cache(cache_path)
-    table = run_census(args.n_max, cap=args.cap, cache=cache)
+    table = run_census(args.n_max, cache=cache)
     data = export(table, args.format)
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
@@ -131,7 +133,7 @@ _VERDICTS = {VERIFIED: "PASS", UNCHECKED: "SKIP", MISMATCH: "FAIL"}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_registry(args.n_max, cap=args.cap)
+    report = verify_registry(args.n_max)
     if args.format == "json":
         doc = {
             "n_max": report.n_max,
@@ -191,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="largest order allowed (default %(default)s)")
+                       help="largest order the naive, backtrack and mask oracles "
+                            "count; transfer ignores it (default %(default)s)")
         p.add_argument("--timing", action="store_true",
                        help="print the subcommand's elapsed seconds to stderr")
         p.add_argument("--format", choices=formats, default=formats[0],
@@ -245,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: as the signal docs advise, the exit flush hits devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

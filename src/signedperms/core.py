@@ -34,6 +34,7 @@ __all__ = [
     "pair_pattern", "pattern_of", "validate_permutation",
 ]
 
+# the oracles' default order cap; the transfer engine has a memory budget
 DEFAULT_CAP = 9
 
 
@@ -54,15 +55,15 @@ class EqualMagnitudesError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """The requested order exceeds the configured safety cap."""
+    """An order exceeds an oracle's cap or the transfer engine's memory budget."""
 
 
 def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
     """Reject negative orders and orders beyond the cap.
 
-    The oracles enumerate 2^n * n! words, so past the cap they are almost
-    certainly a mistake; the transfer engine is polynomial in n and checks
-    the cap only as a guard.  Callers opt in to more with a larger cap.
+    The cap guards the oracles alone: they enumerate 2^n * n! words, so
+    past it they are almost certainly a mistake; callers opt in to more
+    with a larger cap.  The transfer engine has a memory budget instead.
     """
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")

@@ -2,23 +2,21 @@
 
     transfer   gap-state layer recurrence: b_n(T) for any list of sets T
                and every order up to n_max in one pass, in time polynomial
-               in n_max; the core behind every command that counts.  Each
-               state's counts, one per listed set, are packed into fields
-               of one Python int, wide enough for 2^n_max n_max!, the
-               most any count or partial sum can reach, so fields never
-               carry into each other
+               in n_max, each state's counts packed into one Python int;
+               the core behind every command that counts, guarded by an
+               estimate of its memory
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
     mask       vectorized histogram of containment masks over all of B_n,
                then a subset-lattice (zeta) transform that answers all 256
                pattern sets at one order
 
-naive, backtrack and mask are oracles: count and sequence run them only by
-name, and the tests check transfer against them.  naive and mask share
-nothing with transfer but the fixed pattern indexing, so agreement with
-them is strong evidence of correctness; backtrack and transfer share the
-extension tables.  Only mask uses numpy, imported when it first runs, and
-it runs in a single process.
+naive, backtrack and mask are oracles, guarded by the order cap alone:
+count and sequence run them only by name, and the tests check transfer
+against them.  naive and mask share nothing with transfer but the fixed
+pattern indexing, so agreement with them is strong evidence of
+correctness; backtrack and transfer share the extension tables.  Only
+mask uses numpy, imported when it first runs, in a single process.
 """
 
 from __future__ import annotations
@@ -28,13 +26,8 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
-    DEFAULT_CAP,
-    _PAIR_INDEX,
-    PatternSet,
-    avoids,
-    check_cap,
-    iterate_Bn,
-    pair_index,
+    _PAIR_INDEX, DEFAULT_CAP, CapExceededError, PatternSet, avoids, check_cap,
+    iterate_Bn, pair_index,
 )
 
 __all__ = [
@@ -134,13 +127,24 @@ def _layer_states(k: int, n_max: int) -> Iterator[tuple[int, int, int, int]]:
                 yield lu, hu, lb, hb
 
 
-def _transfer(
-    n_max: int, masks: Sequence[int], cap: int = DEFAULT_CAP
-) -> list[list[int]]:
+def _layer_size(k: int, n_max: int) -> int:
+    # len(list(_layer_states(k, n_max))) in closed form: 1, k + 1 and
+    # k(k + 1)/2 halves need 0, 1 and 2 used magnitudes
+    c = [1, k + 1, k * (k + 1) // 2] if k else [1]
+    return sum(a * b for i, a in enumerate(c) for j, b in enumerate(c) if i + j + k <= n_max)
+
+
+# the most memory, in bytes, that transfer_all_orders plans to use
+_BUDGET_BYTES = 2**31
+
+
+def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     """Avoider counts of the listed sets at orders 0..n_max.
 
     Entry n of the result lists the order-n counts in the order of masks,
-    a sequence of 8-bit pattern-set masks (repeats allowed).
+    a sequence of 8-bit pattern-set masks (repeats allowed).  A negative
+    n_max raises ValueError, and one whose estimated memory for these
+    masks is over _BUDGET_BYTES raises CapExceededError, before counting.
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number
@@ -162,7 +166,25 @@ def _transfer(
     dropped by one AND with a mask of all-ones fields per run of moves
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
-    check_cap(n_max, cap)
+    if n_max < 0:
+        raise ValueError(f"order must be nonnegative, got {n_max}")
+    # Two adjacent layers are held at once, each state a dict entry keyed
+    # by a tuple (240 bytes; one set at order 28 peaks at about 210) and one
+    # int of fields of about log2(2^n_max n_max!) bits; lgamma, not factorial,
+    # answers any order at once.  Layers grow with k while either half may
+    # need two magnitudes, k <= n_max - 4, so the largest pair ends in the
+    # last six.  Past order 2^20 the estimate only grows and is far over any
+    # budget, so it is taken there, where its floats stay finite.
+    n = min(n_max, 1 << 20)
+    sizes = [_layer_size(k, n) for k in range(max(0, n - 6), n + 1)]
+    states = max(map(sum, zip([0] + sizes, sizes)))
+    bits = n + math.lgamma(n + 1) / math.log(2)
+    estimate = states * (len(masks) * bits / 8 + 240)
+    if estimate > _BUDGET_BYTES:
+        raise CapExceededError(
+            f"order {n_max} on {len(masks)} set(s) needs an estimated "
+            f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
+        )
     width = ((1 << n_max) * math.factorial(n_max)).bit_length()
     field = (1 << width) - 1
     units = [1 << width * i for i in range(len(masks))]
@@ -196,23 +218,6 @@ def _transfer(
         vec = layer[k, 0, k, 0]
         out.append([vec >> width * i & field for i in range(len(masks))])
     return out
-
-
-_ALL_SETS = [PatternSet(t) for t in range(256)]
-
-
-def transfer_all_orders(
-    n_max: int, cap: int = DEFAULT_CAP, n_min: int = 0
-) -> list[dict[PatternSet, int]]:
-    """Avoider counts for all 256 pattern sets at orders n_min..n_max.
-
-    Entry i of the result holds order n_min + i, keyed by pattern set; an
-    empty range gives [].  One pass of _transfer over the 256 masks.
-    """
-    if n_min < 0:
-        raise ValueError(f"order must be nonnegative, got {n_min}")
-    per_order = _transfer(n_max, range(256), cap)[n_min:]
-    return [dict(zip(_ALL_SETS, counts)) for counts in per_order]
 
 
 def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
@@ -286,31 +291,21 @@ def count_mask(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
     return CountResult(n, tset, value, MASK)
 
 
-def _count_transfer(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
-    value = _transfer(n, [tset.mask], cap)[n][0]
-    return CountResult(n, tset, value, TRANSFER)
-
-
-_ENGINES = {
-    TRANSFER: _count_transfer,
-    NAIVE: count_naive,
-    BACKTRACK: count_backtrack,
-    MASK: count_mask,
-}
+_ORACLES = {NAIVE: count_naive, BACKTRACK: count_backtrack, MASK: count_mask}
 
 
 def count(
-    n: int,
-    tset: PatternSet,
-    method: str = TRANSFER,
-    cap: int = DEFAULT_CAP,
+    n: int, tset: PatternSet, method: str = TRANSFER, cap: int = DEFAULT_CAP
 ) -> CountResult:
     """Count order-n avoiders of tset with the engine named by method.
 
     The default, transfer, reads order n from one pass of the transfer
-    engine over tset alone; naive, backtrack and mask are the oracles.
+    engine over tset alone, guarded by its memory estimate; naive,
+    backtrack and mask are the oracles, and cap guards only them.
     """
-    engine = _ENGINES.get(method)
-    if engine is None:
+    if method == TRANSFER:
+        return CountResult(n, tset, transfer_all_orders(n, [tset.mask])[n][0], TRANSFER)
+    oracle = _ORACLES.get(method)
+    if oracle is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return engine(n, tset, cap)
+    return oracle(n, tset, cap)

@@ -82,9 +82,9 @@ class TestRunCensus:
         assert member != orb.representative
         engine = census.transfer_all_orders
 
-        def skewed(n_max, cap):
-            per_order = [dict(counts) for counts in engine(n_max, cap=cap)]
-            per_order[3][member] += 1
+        def skewed(n_max, masks):
+            per_order = engine(n_max, masks)
+            per_order[3][member.mask] += 1
             return per_order
 
         monkeypatch.setattr(census, "transfer_all_orders", skewed)
@@ -113,6 +113,11 @@ class TestRunCensus:
             assert rec.paper_names
             assert rec.formula_ids
             assert rec.verification_details == ()
+
+    def test_order_16_needs_no_cap(self):
+        table = run_census(16)
+        assert [rec.verification for rec in table.records] == ["verified"] * 58
+        assert len(wilf_classes(table)) == 33
 
     def test_wilf_class_assignment(self, table5):
         classes = wilf_classes(table5)
@@ -220,7 +225,7 @@ class TestVerifyRegistry:
             assert check.mismatches == ()
 
     def test_clean_to_order_16(self):
-        report = verify_registry(16, cap=16)
+        report = verify_registry(16)
         assert len(report.checks) == 67
         assert [c.entry.name for c in report.checks if c.mismatches] == []
         assert report.ok()

@@ -69,9 +69,20 @@ class TestCount:
         assert "error:" in err
 
     def test_cap_exit_2(self, capsys):
-        code, _, err = run(capsys, "count", "--patterns", "1 2", "--n", "12")
+        code, _, err = run(
+            capsys, "count", "--patterns", "1 2", "--n", "12", "--method", "backtrack"
+        )
         assert code == 2
         assert "cap" in err
+
+    def test_transfer_needs_no_cap(self, capsys):
+        code, out, _ = run(capsys, "count", "--patterns", "1 2", "--n", "12")
+        assert (code, out) == (0, f"{formulas.eval_formula('EQ1', 12)}\n")
+
+    def test_over_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "count", "--patterns", "1 2", "--n", "100")
+        assert (code, out) == (2, "")
+        assert "budget" in err
 
     def test_raised_cap_allows_more(self, capsys):
         # order 10 passes the cap once it is raised to 10
@@ -138,8 +149,8 @@ class TestSequence:
             calls.append(args)
             return engine(*args, **kwargs)
 
-        engine = cli._transfer
-        monkeypatch.setattr(cli, "_transfer", counted)
+        engine = cli.transfer_all_orders
+        monkeypatch.setattr(cli, "transfer_all_orders", counted)
         code, out, _ = run(
             capsys, "sequence", "--patterns", "1 2", "--n-max", "6",
             "--format", "csv",
@@ -149,7 +160,7 @@ class TestSequence:
 
     @pytest.mark.parametrize("method", ["transfer", "naive", "backtrack", "mask"])
     def test_bad_order_range_exit_2(self, capsys, method):
-        for n_max in ("-1", "12"):
+        for n_max in ("-1", "100"):
             code, out, err = run(
                 capsys, "sequence", "--patterns", "1 2", "--n-max", n_max,
                 "--method", method,
@@ -406,16 +417,41 @@ class TestGolden:
         assert out.encode() == (GOLDEN / name).read_bytes()
 
 
-def run_fresh(code: str) -> str:
-    # a new interpreter, so modules imported by other tests do not count
+def fresh_env() -> dict[str, str]:
+    # the environment of a new interpreter that imports this signedperms
     src = str(Path(signedperms.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_fresh(code: str) -> str:
+    # a new interpreter, so modules imported by other tests do not count
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, check=True,
+        env=fresh_env(), capture_output=True, text=True, check=True,
     )
     return done.stdout
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [
+        ("census", "--n-max", "6"),
+        ("verify", "--n-max", "6"),
+        ("count", "--patterns", "1 2", "--n", "3"),
+    ])
+    def test_exit_141_and_quiet(self, argv):
+        # the read end is closed before the command starts, so every write
+        # to stdout fails with EPIPE
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "signedperms.cli", *argv],
+                env=fresh_env(), stdout=write, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")
 
 
 class TestImports:

@@ -4,6 +4,8 @@ import functools
 import gc
 import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import pytest
@@ -32,9 +34,13 @@ from conftest import NAMED_TRIPLES, oracle_count, oracle_pair_matches
 pattern_sets = st.integers(0, 255).map(PatternSet)
 
 
+ALL_SETS = [PatternSet(m) for m in range(256)]
+
+
 @functools.cache
 def transfer_to(n_max: int) -> list[dict[PatternSet, int]]:
-    return transfer_all_orders(n_max, cap=n_max)
+    # all 256 sets' counts at orders 0..n_max, keyed by set in mask order
+    return [dict(zip(ALL_SETS, c)) for c in transfer_all_orders(n_max, range(256))]
 
 
 def brute_histogram(n: int) -> dict[int, int]:
@@ -202,10 +208,10 @@ class TestTransfer:
     def test_independent_of_field_width(self):
         # counts are packed into fields whose width depends on n_max; the
         # same orders must come out of every width
-        wide = transfer_to(14)
+        wide = [list(per.values()) for per in transfer_to(14)]
         for m in range(9):
-            narrow = transfer_all_orders(m)
-            assert narrow == transfer_all_orders(m + 3, cap=m + 3)[: m + 1], m
+            narrow = transfer_all_orders(m, range(256))
+            assert narrow == transfer_all_orders(m + 3, range(256))[: m + 1], m
             assert narrow == wide[: m + 1], m
 
     def test_extreme_fields_at_order_14(self):
@@ -224,12 +230,36 @@ class TestTransfer:
                     assert per[PatternSet(mask | 1 << i)] <= per[PatternSet(mask)]
 
     def test_order_range(self):
-        assert transfer_all_orders(5, n_min=3) == transfer_to(5)[3:]
-        assert transfer_all_orders(2, n_min=3) == []
+        # order 33 is the census's last within the memory budget
+        assert transfer_all_orders(0, range(256)) == [[1] * 256]
         with pytest.raises(CapExceededError):
-            transfer_all_orders(12)
-        with pytest.raises(ValueError):
-            transfer_all_orders(3, n_min=-1)
+            transfer_all_orders(34, range(256))
+        with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
+            transfer_all_orders(-1, range(256))
+
+    def test_over_budget_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError):
+            transfer_all_orders(10**400, [0])  # too large for a float
+        with pytest.raises(CapExceededError) as info:
+            transfer_all_orders(100, [0])
+        assert time.perf_counter() - start < 1
+        # two adjacent layers, each state 240 bytes and one field of the
+        # bit length of 2^100 100!
+        size = enumeration._layer_size
+        states = max(size(k - 1, 100) + size(k, 100) for k in range(1, 101))
+        width = ((1 << 100) * math.factorial(100)).bit_length()
+        estimate = states * (width / 8 + 240) / 2**20
+        stated = re.search(r"order 100 on 1 set\(s\) needs an estimated (\d+) MB, "
+                           r"over the budget of 2048 MB", str(info.value))
+        assert stated, str(info.value)
+        assert abs(int(stated[1]) - estimate) < estimate / 1000
+
+    def test_layer_sizes_in_closed_form(self):
+        for n_max in range(17):
+            for k in range(n_max + 1):
+                listed = len(list(enumeration._layer_states(k, n_max)))
+                assert enumeration._layer_size(k, n_max) == listed, (k, n_max)
 
     def test_layers_are_the_reachable_states(self):
         # a prefix's gap state depends only on which magnitudes it uses,
@@ -260,7 +290,7 @@ class TestTransfer:
         gc.disable()
         tracemalloc.start()
         try:
-            transfer_all_orders(10, cap=10)
+            transfer_all_orders(10, range(256))
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -269,12 +299,12 @@ class TestTransfer:
 
 
 class TestPackedKernel:
-    # _transfer packs one field per listed mask, in list order
+    # transfer_all_orders packs one field per listed mask, in list order
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10), st.lists(st.integers(0, 255), max_size=12))
     def test_fields_follow_the_list(self, n, masks):
-        packed = enumeration._transfer(n, masks, cap=n)
+        packed = transfer_all_orders(n, masks)
         assert len(packed) == n + 1
         for k, per in enumerate(transfer_to(n)):
             assert packed[k] == [per[PatternSet(m)] for m in masks], k
@@ -282,12 +312,12 @@ class TestPackedKernel:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 6), pattern_sets)
     def test_one_set_matches_naive(self, n, tset):
-        assert enumeration._transfer(n, [tset.mask])[n] == [count_naive(n, tset).value]
+        assert transfer_all_orders(n, [tset.mask])[n] == [count_naive(n, tset).value]
 
     @pytest.mark.parametrize("name", sorted(NAMED_TRIPLES))
     def test_one_set_matches_backtrack_through_order_8(self, name):
         tset = PatternSet.parse(NAMED_TRIPLES[name])
-        sequence = [c[0] for c in enumeration._transfer(8, [tset.mask])]
+        sequence = [c[0] for c in transfer_all_orders(8, [tset.mask])]
         assert sequence == [count_backtrack(n, tset).value for n in range(9)]
 
 
