@@ -11,8 +11,6 @@ a JSON schema (export / load_cache); a cached table is checked against
 re-derived counts, never trusted, before a census extends it.
 """
 
-from __future__ import annotations
-
 import json
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
@@ -100,10 +98,11 @@ class EntryCheck(NamedTuple):
     holds_below: tuple[int, ...]
 
 
-def _check_registry(per_order: list[list[int]], n_max: int) -> tuple[EntryCheck, ...]:
+def _check_registry(per_order: list[list[int]]) -> tuple[EntryCheck, ...]:
     # the one place formulas meet counts: each registry entry, in registry
-    # order, against per_order[n][mask] for n = 0..n_max; each formula id is
-    # evaluated once per order and call, however many entries share it
+    # order, against per_order[n][mask] for every order n listed; each formula
+    # id is evaluated once per order and call, however many entries share it
+    n_max = len(per_order) - 1
     ids = dict.fromkeys(entry.formula for entry in registry())
     values = {f: [eval_formula(f, n) for n in range(n_max + 1)] for f in ids}
     checks = []
@@ -146,7 +145,7 @@ def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
     """
     per_order = transfer_all_orders(n_max, range(256))
     by_rep: dict[int, list[EntryCheck]] = {}
-    for check in _check_registry(per_order, n_max):
+    for check in _check_registry(per_order):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
     class_ids: dict[tuple[int, ...], int] = {}
     records = []
@@ -256,7 +255,7 @@ def verify_registry(n_max: int) -> VerificationReport:
     with enumeration at their witness orders.
     """
     per_order = transfer_all_orders(n_max, range(256))
-    checks = _check_registry(per_order, n_max)
+    checks = _check_registry(per_order)
 
     superseded = []
     for text, description, value_fn, witness_n in _SUPERSEDED:

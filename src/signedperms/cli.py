@@ -7,8 +7,6 @@ verification found a mismatch, 2 usage or input error, 141 (128 + SIGPIPE)
 with nothing on stderr when stdout is closed before the output is written.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -191,10 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
+    def engine(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--method", choices=METHODS, default=TRANSFER)
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
                        help="largest order the naive, backtrack and mask oracles "
-                            "count; transfer ignores it (default %(default)s)")
+                            "count (default %(default)s)")
+
+    def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--timing", action="store_true",
                        help="print the subcommand's elapsed seconds to stderr")
         p.add_argument("--format", choices=formats, default=formats[0],
@@ -204,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--patterns", required=True,
                          help='comma-separated patterns, e.g. "1 2, -2 1"')
     p_count.add_argument("--n", type=int, required=True, help="order to count at")
-    p_count.add_argument("--method", choices=METHODS, default=TRANSFER)
+    engine(p_count)
     common(p_count, ("plain", "json"))
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="count avoiders for all orders 0..n-max")
     p_seq.add_argument("--patterns", required=True)
     p_seq.add_argument("--n-max", type=int, required=True)
-    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER)
+    engine(p_seq)
     common(p_seq, ("plain", "json", "csv"))
     p_seq.set_defaults(func=_cmd_sequence)
 
@@ -227,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--n-max", type=int, required=True)
     p_cen.add_argument("--out", default=None, help="write output to this file")
     p_cen.add_argument("--cache", default=None,
-                       help="JSON census to reuse and update in place")
+                       help="JSON census to check against the recount and "
+                            "update in place")
     common(p_cen, ("json", "csv"))
     p_cen.set_defaults(func=_cmd_census)
 

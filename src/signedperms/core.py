@@ -19,8 +19,6 @@ The eight patterns carry a fixed index 0..7 used everywhere downstream
     4: -1 -2    5: 2 -1     6: -2 1     7: -2 -1
 """
 
-from __future__ import annotations
-
 import itertools
 import warnings
 from functools import total_ordering

@@ -19,8 +19,6 @@ correctness; backtrack and transfer share the extension tables.  Only
 mask uses numpy, imported when it first runs, in a single process.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import Iterator, NamedTuple, Sequence
@@ -143,8 +141,9 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
 
     Entry n of the result lists the order-n counts in the order of masks,
     a sequence of 8-bit pattern-set masks (repeats allowed).  A negative
-    n_max raises ValueError, and one whose estimated memory for these
-    masks is over _BUDGET_BYTES raises CapExceededError, before counting.
+    n_max or a mask outside 0..255 raises ValueError, and an n_max whose
+    estimated memory for these masks is over _BUDGET_BYTES raises
+    CapExceededError, before counting.
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number
@@ -168,6 +167,9 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     """
     if n_max < 0:
         raise ValueError(f"order must be nonnegative, got {n_max}")
+    for t in masks:
+        if not 0 <= t < 256:
+            raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
     # Two adjacent layers are held at once, each state a dict entry keyed
     # by a tuple (240 bytes; one set at order 28 peaks at about 210) and one
     # int of fields of about log2(2^n_max n_max!) bits; lgamma, not factorial,

@@ -8,8 +8,6 @@ is claimed.  Identities that also happen to hold below min_n are surfaced
 by verification as informational notes, never as failures.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from math import comb as binomial
 from math import factorial

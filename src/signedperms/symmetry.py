@@ -13,8 +13,6 @@ T under this action.  Orbits of the 256 pattern sets are the natural unit
 of study: one representative per orbit suffices.
 """
 
-from __future__ import annotations
-
 import itertools
 from functools import cache
 from typing import NamedTuple, Sequence

@@ -176,6 +176,15 @@ class TestSequence:
         )
         assert (code, out) == (0, "1,2,5,14,42,132\n")
 
+    def test_raised_cap_allows_backtrack(self, capsys):
+        # order 10 is past the oracles' default cap until --cap raises it;
+        # this set's avoiders number 1 + n(n+1)/2
+        argv = ("sequence", "--patterns", "1 2, 1 -2, -1 -2, 2 1", "--n-max", "10",
+                "--method", "backtrack", "--format", "csv")
+        assert run(capsys, *argv)[0] == 2
+        code, out, _ = run(capsys, *argv, "--cap", "10")
+        assert (code, out) == (0, "1,2,4,7,11,16,22,29,37,46,56\n")
+
 
 class TestOrbits:
     def test_plain_all(self, capsys):
@@ -334,6 +343,12 @@ class TestCensus:
         assert "timing_seconds" not in timed[1]
         assert "timing_seconds:" in timed[2]
 
+    def test_takes_no_cap(self, capsys):
+        # census runs no oracle, so --cap is a usage error
+        code, out, err = run(capsys, "census", "--n-max", "2", "--cap", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 2" in err
+
     def test_corrupt_cache_exit_2(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
         cache.write_text("{broken")
@@ -345,6 +360,12 @@ class TestCensus:
 
 
 class TestVerify:
+    def test_takes_no_cap(self, capsys):
+        # verify runs no oracle, so --cap is a usage error
+        code, out, err = run(capsys, "verify", "--n-max", "2", "--cap", "2")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cap 2" in err
+
     def test_clean_exit_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--n-max", "3")
         assert code == 0
