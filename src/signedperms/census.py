@@ -371,8 +371,8 @@ def _strings(raw: dict, key: str) -> tuple[str, ...]:
 def load_cache(path: str | Path) -> CensusTable:
     """Load a JSON census written by export, validating its structure."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_bytes())  # JSON is UTF-8 in any locale
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
     _require("n_max" in doc and "records" in doc, "top level needs n_max and records")

@@ -19,9 +19,10 @@ correctness; backtrack and transfer share the extension tables.  Only
 mask uses numpy, imported when it first runs, in a single process.
 """
 
+import bisect
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     _PAIR_INDEX, DEFAULT_CAP, CapExceededError, PatternSet, avoids, check_cap,
@@ -113,23 +114,11 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
     return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
 
 
-def _layer_states(k: int, n_max: int) -> Iterator[tuple[int, int, int, int]]:
-    # (lu, hu, lb, hb) of layer k's states reached from orders <= n_max: a half
-    # is absent, gaps (k, 0), or, if k > 0, spans gaps lo <= hi, needing one used
-    # magnitude if lo == hi and two otherwise; both need n_max - k at most
-    spans = [(lo, hi, 1 + (lo < hi)) for lo in range(k + 1) for hi in range(lo, k + 1)]
-    halves = [(k, 0, 0)] + (spans if k else [])
-    for lu, hu, need_u in halves:
-        for lb, hb, need_b in halves:
-            if need_u + need_b <= n_max - k:
-                yield lu, hu, lb, hb
-
-
-def _layer_size(k: int, n_max: int) -> int:
-    # len(list(_layer_states(k, n_max))) in closed form: 1, k + 1 and
-    # k(k + 1)/2 halves need 0, 1 and 2 used magnitudes
-    c = [1, k + 1, k * (k + 1) // 2] if k else [1]
-    return sum(a * b for i, a in enumerate(c) for j, b in enumerate(c) if i + j + k <= n_max)
+def _halves(k: int) -> list[tuple[int, int, int]]:
+    # (lo, hi, need) of layer k's halves, by need: absent, gaps (k, 0), first;
+    # then, if k > 0, spans of gaps lo <= hi by width, needing 1 + (lo < hi)
+    spans = [(lo, lo + d, 1 + (d > 0)) for d in range(k + 1) for lo in range(k + 1 - d)]
+    return [(k, 0, 0)] + (spans if k else [])
 
 
 # the most memory, in bytes, that transfer_all_orders plans to use
@@ -156,6 +145,11 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     magnitudes, comes from layer k - 1 alone, and order k is (k; k, 0, k, 0).
     The state count grows polynomially in n_max, not as 2^n n!.
 
+    A state is a pair of halves, unbarred (lu, hu) and barred (lb, hb); layer
+    k is one list, the pair iu, ib of its H halves at iu * H + ib.  A move at
+    the j-th unused magnitude maps each half on its own, through two tables
+    of indices into layer k - 1's halves: take (the half it joins) and shift.
+
     A state's counts are packed into one Python int, the count for
     masks[i] in bits [W*i, W*(i+1)) with W the bit length of 2^n_max
     n_max!.  A state with k unused magnitudes has 2^k k! completions in
@@ -170,18 +164,18 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     for t in masks:
         if not 0 <= t < 256:
             raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
-    # Two adjacent layers are held at once, each state a dict entry keyed
-    # by a tuple (240 bytes; one set at order 28 peaks at about 210) and one
-    # int of fields of about log2(2^n_max n_max!) bits; lgamma, not factorial,
-    # answers any order at once.  Layers grow with k while either half may
-    # need two magnitudes, k <= n_max - 4, so the largest pair ends in the
-    # last six.  Past order 2^20 the estimate only grows and is far over any
-    # budget, so it is taken there, where its floats stay finite.
-    n = min(n_max, 1 << 20)
-    sizes = [_layer_size(k, n) for k in range(max(0, n - 6), n + 1)]
-    states = max(map(sum, zip([0] + sizes, sizes)))
+    # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
+    # and per reached state an int of fields of about log2(2^n_max n_max!)
+    # bits (lgamma, not factorial, answers any order at once) and 64 bytes, a
+    # term that keeps the estimate 1.3-1.5x over measured peak RSS growth.
+    # Layer k has H(k) = 1 + (k + 1)(k + 2)/2 halves: layers n - 1 and n hold
+    # the most slots, and from order 11 on the full layers n - 5 and n - 4 the
+    # most states, so order 11 bounds smaller orders.  Past order 2^20 the
+    # estimate only grows, far over any budget; there its floats stay finite.
+    n = min(max(n_max, 11), 1 << 20)
+    h5, h4, h1, h0 = (1 + (k + 1) * (k + 2) // 2 for k in (n - 5, n - 4, n - 1, n))
     bits = n + math.lgamma(n + 1) / math.log(2)
-    estimate = states * (len(masks) * bits / 8 + 240)
+    estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (len(masks) * bits / 8 + 64)
     if estimate > _BUDGET_BYTES:
         raise CapExceededError(
             f"order {n_max} on {len(masks)} set(s) needs an estimated "
@@ -194,31 +188,36 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     # fields of the listed sets that a move with summary s avoids
     keep = [sum(unit for unit, t in zip(units, masks) if not t & added) * field
             for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
-    out = []
-    layer: dict[tuple[int, int, int, int], int] = {}
+    out, layer, halves = [], [], []
     for k in range(n_max + 1):
-        prev, layer = layer, {}
-        for lu, hu, lb, hb in _layer_states(k, n_max):
-            vec = 0 if k else sum(units)  # the empty completion avoids every set
-            # the four gap indices cut the unused magnitudes j = 0..k-1 into
-            # intervals [a, b) on which j compares with each index as a does,
-            # so the summary s and the shape of both successors are fixed
-            # there: sum an interval's successors first and apply its two keep
-            # masks once; fields never carry, so (x + y) & K == (x & K) + (y & K)
-            cuts = sorted({0, k, lu, hu, lb, hb})
-            for a, b in zip(cuts, cuts[1:]):
-                A, B, C, D = a < lu, a < hu, a < lb, a < hb
-                s = (not A) | B << 1 | (not C) << 2 | D << 3
-                # taking the j-th unused magnitude merges gaps j and j + 1
-                lu1, hu1, lb1, hb1 = lu - A, hu - B, lb - C, hb - D
-                acc_u = acc_b = 0
-                for j in range(a, b):
-                    acc_u += prev[j if A else lu, hu1 if B else j, lb1, hb1]
-                    acc_b += prev[lu1, hu1, j if C else lb, hb1 if D else j]
-                vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
-            layer[lu, hu, lb, hb] = vec
-        vec = layer[k, 0, k, 0]
-        out.append([vec >> width * i & field for i in range(len(masks))])
+        index = {(lo, hi): i for i, (lo, hi, _) in enumerate(halves)}
+        prev, P, layer, halves = layer, len(halves), [], _halves(k)
+        # taking the j-th unused magnitude merges gaps j and j + 1
+        take = [[index[min(j, lo), hi - 1 if j < hi else j] for j in range(k)]
+                for lo, hi, _ in halves]
+        shift = [[index[lo - (j < lo), hi - (j < hi)] for j in range(k)]
+                 for lo, hi, _ in halves]
+        for (lu, hu, need_u), tu, su in zip(halves, take, shift):
+            # halves come by need, so the pairs reached with this one come first
+            m = bisect.bisect_right(halves, n_max - k - need_u, key=lambda h: h[2])
+            for (lb, hb, _), tb, sb in zip(halves[:m], take, shift):
+                vec = 0 if k else sum(units)  # the empty completion avoids every set
+                # the four gap indices cut the unused magnitudes j = 0..k-1
+                # into intervals [a, b) on which j compares with each index as
+                # a does, so the summary s is fixed there: sum an interval's
+                # successors first and apply its two keep masks once; fields
+                # never carry, so (x + y) & K == (x & K) + (y & K)
+                cuts = sorted({0, k, lu, hu, lb, hb})
+                for a, b in zip(cuts, cuts[1:]):
+                    s = (a >= lu) | (a < hu) << 1 | (a >= lb) << 2 | (a < hb) << 3
+                    acc_u = acc_b = 0
+                    for j in range(a, b):
+                        acc_u += prev[tu[j] * P + sb[j]]
+                        acc_b += prev[su[j] * P + tb[j]]
+                    vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
+                layer.append(vec)
+            layer += [0] * (len(halves) - m)  # pairs never reached
+        out.append([layer[0] >> width * i & field for i in range(len(masks))])
     return out
 
 

@@ -8,8 +8,18 @@ library is meaningful.
 from __future__ import annotations
 
 import itertools
+import os
+from pathlib import Path
 
+import signedperms
 from signedperms import PATTERNS, PatternSet, SignedPermutation
+
+
+def fresh_env() -> dict[str, str]:
+    # the environment of a new interpreter that imports this signedperms
+    src = str(Path(signedperms.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def oracle_pair_matches(x: int, y: int, pat: tuple[int, int]) -> bool:

@@ -4,6 +4,8 @@ import copy
 import json
 import pickle
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -20,7 +22,7 @@ from signedperms import (
     write_cache,
 )
 from signedperms import census, formulas
-from conftest import NAMED_TRIPLES
+from conftest import NAMED_TRIPLES, fresh_env
 
 
 @pytest.fixture(scope="module")
@@ -396,6 +398,10 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             load_cache(p)
 
+        p.write_bytes(b'{"n_max": 0, "records": [], "metadata": {"note": "\xff"}}')
+        with pytest.raises(SchemaError, match="not valid JSON"):
+            load_cache(p)
+
         p.write_text(json.dumps([1, 2, 3]))
         with pytest.raises(SchemaError):
             load_cache(p)
@@ -455,6 +461,23 @@ class TestSerialization:
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=key):
             load_cache(p)
+
+    def test_load_reads_utf8_in_any_locale(self, tmp_path):
+        # JSON is UTF-8; under the C locale, with UTF-8 mode and locale
+        # coercion off, a text read would decode the file as ASCII
+        doc = json.loads(export(run_census(1)).decode())
+        doc["metadata"]["note"] = "orders 0\u20131"
+        path = tmp_path / "cache.json"
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        assert b"\xe2\x80\x93" in path.read_bytes()
+        env = dict(fresh_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = subprocess.run(
+            [sys.executable, "-m", "signedperms.cli", "census", "--n-max", "1",
+             "--cache", str(path)],
+            env=env, capture_output=True,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == export(run_census(1))
 
     def test_file_cache_extension(self, tmp_path):
         path = tmp_path / "cache.json"

@@ -11,6 +11,7 @@ import pytest
 import signedperms
 from signedperms import cli, formulas
 from signedperms.cli import main
+from conftest import fresh_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -436,13 +437,6 @@ class TestGolden:
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert out.encode() == (GOLDEN / name).read_bytes()
-
-
-def fresh_env() -> dict[str, str]:
-    # the environment of a new interpreter that imports this signedperms
-    src = str(Path(signedperms.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def run_fresh(code: str) -> str:

@@ -1,5 +1,6 @@
 """Agreement and correctness of the counting engines."""
 
+import collections
 import functools
 import gc
 import itertools
@@ -35,6 +36,16 @@ pattern_sets = st.integers(0, 255).map(PatternSet)
 
 
 ALL_SETS = [PatternSet(m) for m in range(256)]
+
+
+def budget_estimate(n_max: int, sets: int) -> float:
+    # transfer_all_orders' memory estimate in bytes, restated: an 8-byte slot
+    # per pair of halves of layers n - 1 and n, and per reached state of
+    # layers n - 5 and n - 4 its fields of log2(2^n n!) bits and 64 bytes
+    n = max(n_max, 11)
+    h5, h4, h1, h0 = (1 + (k + 1) * (k + 2) // 2 for k in (n - 5, n - 4, n - 1, n))
+    bits = math.log2((1 << n) * math.factorial(n))
+    return 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (sets * bits / 8 + 64)
 
 
 @functools.cache
@@ -250,28 +261,51 @@ class TestTransfer:
         with pytest.raises(CapExceededError) as info:
             transfer_all_orders(100, [0])
         assert time.perf_counter() - start < 1
-        # two adjacent layers, each state 240 bytes and one field of the
-        # bit length of 2^100 100!
-        size = enumeration._layer_size
-        states = max(size(k - 1, 100) + size(k, 100) for k in range(1, 101))
-        width = ((1 << 100) * math.factorial(100)).bit_length()
-        estimate = states * (width / 8 + 240) / 2**20
+        estimate = budget_estimate(100, 1) / 2**20
         stated = re.search(r"order 100 on 1 set\(s\) needs an estimated (\d+) MB, "
                            r"over the budget of 2048 MB", str(info.value))
         assert stated, str(info.value)
         assert abs(int(stated[1]) - estimate) < estimate / 1000
+        # the census runs to order 33 and one set to order 78
+        assert budget_estimate(33, 256) <= 2**31 < budget_estimate(34, 256)
+        assert budget_estimate(78, 1) <= 2**31 < budget_estimate(79, 1)
 
-    def test_layer_sizes_in_closed_form(self):
-        for n_max in range(17):
-            for k in range(n_max + 1):
-                listed = len(list(enumeration._layer_states(k, n_max)))
-                assert enumeration._layer_size(k, n_max) == listed, (k, n_max)
+    def test_layer_sizes_in_closed_form(self, monkeypatch):
+        # the estimate's premise: layer k has 1 + (k + 1)(k + 2)/2 halves,
+        # every pair of layer k <= n_max - 4 is reached, and from order 11 on
+        # layers n_max - 5 and n_max - 4 hold the most reached states, so the
+        # estimate bounds two adjacent layers' slots and ints at every order;
+        # through order 16 the engine's own estimate is checked, by refusal
+        halves = [len(enumeration._halves(k)) for k in range(61)]
+        needs = [collections.Counter(h[2] for h in enumeration._halves(k)) for k in range(61)]
+        assert halves[1:] == [1 + (k + 1) * (k + 2) // 2 for k in range(1, 61)]
+        for n_max in range(61):
+            reached = [sum(c[i] * c[j] for i in c for j in c if i + j <= n_max - k)
+                       for k, c in enumerate(needs[: n_max + 1])]
+            full = max(n_max - 3, 0)
+            assert reached[:full] == [h * h for h in halves[:full]], n_max
+            held = [sum(reached[max(k - 1, 0): k + 1]) for k in range(n_max + 1)]
+            if n_max >= 11:
+                assert held.index(max(held)) == n_max - 4, n_max
+            bits = math.log2((1 << n_max) * math.factorial(n_max))
+            for sets in (1, 58, 256):
+                model = max(8 * sum(h * h for h in halves[max(k - 1, 0): k + 1])
+                            + held[k] * (sets * bits / 8 + 64) for k in range(n_max + 1))
+                assert budget_estimate(n_max, sets) >= model, (n_max, sets)
+                if n_max <= 16:
+                    monkeypatch.setattr(enumeration, "_BUDGET_BYTES", math.ceil(model) - 1)
+                    with pytest.raises(CapExceededError):
+                        transfer_all_orders(n_max, [0] * sets)
 
     def test_layers_are_the_reachable_states(self):
         # a prefix's gap state depends only on which magnitudes it uses,
         # unbarred or barred, so the 3^n role assignments stand for every
         # signed prefix of order n; shorter orders add their start states
-        layer_states = enumeration._layer_states
+        def listed(k, n_max):
+            return [(lu, hu, lb, hb) for lu, hu, need_u in enumeration._halves(k)
+                    for lb, hb, need_b in enumeration._halves(k)
+                    if need_u + need_b <= n_max - k]
+
         for n_max, size in ((4, 48), (5, 106), (6, 221)):
             reached = {(k, k, 0, k, 0) for k in range(n_max)}
             for roles in itertools.product((None, 1, -1), repeat=n_max):
@@ -283,12 +317,23 @@ class TestTransfer:
                     gaps = [sum(u < m for u in unused) for m in used]
                     state += [min(gaps, default=k), max(gaps, default=0)]
                 reached.add(tuple(state))
-            listed = [(k, *s) for k in range(n_max + 1) for s in layer_states(k, n_max)]
-            assert len(listed) == len(reached) == size, n_max
-            assert set(listed) == reached, n_max
+            states = [(k, *s) for k in range(n_max + 1) for s in listed(k, n_max)]
+            assert len(states) == len(reached) == size, n_max
+            assert set(states) == reached, n_max
         for n_max, total, largest in ((12, 6644, 2116), (16, 31038, 8464)):
-            sizes = [len(list(layer_states(k, n_max))) for k in range(n_max + 1)]
+            sizes = [len(listed(k, n_max)) for k in range(n_max + 1)]
             assert (sum(sizes), max(sizes)) == (total, largest), n_max
+
+    def test_one_pass_to_order_22(self):
+        # half indices pass the small-int cache from layer 22 (H = 277 halves);
+        # {1 2} has sum_k C(n,k)^2 k! avoiders (EQ1) and T_2 Catalan C(n+1) (EQ7)
+        t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
+        per_order = transfer_all_orders(22, [PatternSet.parse("1 2").mask, t2.mask])
+        assert per_order == [
+            [sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1)),
+             math.comb(2 * n + 2, n + 1) // (n + 2)]
+            for n in range(23)
+        ]
 
     def test_returns_without_keeping_its_states(self):
         # the layers must be freed when the call returns, not left for the
