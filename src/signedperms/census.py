@@ -5,7 +5,7 @@ each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
-guarded by its memory budget, not by the oracles' order cap, and their
+guarded by its memory budget, not by the oracles' work budget, and their
 formula checks from one loop, _check_registry.  Tables round-trip through
 a JSON schema (export / load_cache); a cached table is checked against
 re-derived counts, never trusted, before a census extends it.

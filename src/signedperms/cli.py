@@ -24,7 +24,7 @@ from .census import (
     run_census,
     verify_registry,
 )
-from .core import DEFAULT_CAP, PatternSet, check_cap
+from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
 from .symmetry import all_orbits
 
@@ -41,15 +41,10 @@ def _parse_patterns(text: str) -> PatternSet:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
-    result = count(args.n, tset, method=args.method, cap=args.cap)
+    result = count(args.n, tset, method=args.method)
     if args.format == "json":
-        doc = {
-            "n": result.n,
-            "patterns": tset.text(),
-            "method": result.method,
-            "value": str(result.value),
-        }
-        print(json.dumps(doc))
+        print(json.dumps({"n": result.n, "patterns": tset.text(),
+                          "method": result.method, "value": str(result.value)}))
     else:
         print(result.value)
     return 0
@@ -60,12 +55,11 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     if args.method == TRANSFER:
         values = [c[0] for c in transfer_all_orders(args.n_max, [tset.mask])]
     else:
-        # an oracle rejects the order range before any order is counted
-        check_cap(args.n_max, args.cap)
-        values = [
-            count(n, tset, method=args.method, cap=args.cap).value
-            for n in range(args.n_max + 1)
-        ]
+        # an oracle's work grows with n, so counting order n_max first
+        # refuses the order range before any order is counted
+        last = count(args.n_max, tset, method=args.method).value
+        values = [count(n, tset, method=args.method).value for n in range(args.n_max)]
+        values.append(last)
     if args.format == "json":
         doc = {
             "patterns": tset.text(),
@@ -189,12 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def engine(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--method", choices=METHODS, default=TRANSFER)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="largest order the naive, backtrack and mask oracles "
-                            "count (default %(default)s)")
-
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
         p.add_argument("--timing", action="store_true",
                        help="print the subcommand's elapsed seconds to stderr")
@@ -205,21 +193,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--patterns", required=True,
                          help='comma-separated patterns, e.g. "1 2, -2 1"')
     p_count.add_argument("--n", type=int, required=True, help="order to count at")
-    engine(p_count)
+    p_count.add_argument("--method", choices=METHODS, default=TRANSFER)
     common(p_count, ("plain", "json"))
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="count avoiders for all orders 0..n-max")
     p_seq.add_argument("--patterns", required=True)
     p_seq.add_argument("--n-max", type=int, required=True)
-    engine(p_seq)
+    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER)
     common(p_seq, ("plain", "json", "csv"))
     p_seq.set_defaults(func=_cmd_sequence)
 
     p_orb = sub.add_parser("orbits", help="list symmetry orbits of pattern sets")
-    p_orb.add_argument("--size", type=int, default=None,
+    p_orb.add_argument("--size", type=int, choices=range(9), default=None,
                        help="only orbits whose sets have this many patterns")
-    # orbits counts nothing, so it takes neither --cap nor --timing
+    # orbits counts nothing, so it takes neither --method nor --timing
     p_orb.add_argument("--format", choices=("plain", "json", "csv"), default="plain",
                        help="output format (default %(default)s)")
     p_orb.set_defaults(func=_cmd_orbits)

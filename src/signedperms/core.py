@@ -20,21 +20,19 @@ The eight patterns carry a fixed index 0..7 used everywhere downstream
 """
 
 import itertools
+import math
+import operator
 import warnings
 from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "DEFAULT_CAP", "EMPTY_SET", "FULL_SET", "PATTERNS", "CapExceededError",
+    "EMPTY_SET", "FULL_SET", "PATTERNS", "CapExceededError",
     "DuplicateMagnitudeError", "EqualMagnitudesError", "MagnitudeOutOfRangeError",
     "Pattern", "PatternSet", "SignedPermutation", "ZeroLetterError", "avoids",
-    "check_cap", "containment_mask", "contains", "iterate_Bn", "pair_index",
+    "containment_mask", "contains", "iterate_Bn", "pair_index",
     "pair_pattern", "pattern_of", "validate_permutation",
 ]
-
-# the oracles' default order cap; the transfer engine has a memory budget
-DEFAULT_CAP = 9
-
 
 class ZeroLetterError(ValueError):
     """A letter was encoded as 0, which names no symbol."""
@@ -53,20 +51,27 @@ class EqualMagnitudesError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """An order exceeds an oracle's cap or the transfer engine's memory budget."""
+    """An order is over an oracle's work budget or the transfer engine's memory budget."""
 
 
-def check_cap(n: int, cap: int = DEFAULT_CAP) -> None:
-    """Reject negative orders and orders beyond the cap.
+# the most words or prefixes an oracle visits: all 2^9 9! words of order 9
+_WORK_BUDGET = (1 << 9) * math.factorial(9)
 
-    The cap guards the oracles alone: they enumerate 2^n * n! words, so
-    past it they are almost certainly a mistake; callers opt in to more
-    with a larger cap.  The transfer engine has a memory budget instead.
-    """
+
+def _check_work(n: int, work: Iterable[int]) -> None:
+    # refuse a negative order, and an oracle job whose work, given as running
+    # totals of the words or prefixes it visits, passes _WORK_BUDGET; the
+    # totals are read only until one is over
     if n < 0:
         raise ValueError(f"order must be nonnegative, got {n}")
-    if n > cap:
-        raise CapExceededError(f"order {n} exceeds cap {cap}")
+    if any(w > _WORK_BUDGET for w in work):
+        raise CapExceededError(f"order {n} is over the oracles' work budget of "
+                               f"{_WORK_BUDGET} words or prefixes")
+
+
+def _check_group(n: int) -> None:
+    # visiting all of B_n: the running products 2, 8, 48, ... reach 2^n n!
+    _check_work(n, itertools.accumulate(range(2, 2 * n + 1, 2), operator.mul))
 
 
 class SignedPermutation(tuple):
@@ -319,23 +324,16 @@ def avoids(alpha: Sequence[int], tset: PatternSet) -> bool:
     return True
 
 
-def _iter_bn(n: int) -> Iterator[SignedPermutation]:
-    if n == 0:
-        yield SignedPermutation(())
-        return
-    for base in itertools.permutations(range(1, n + 1)):
-        for signs in range(1 << n):
-            yield SignedPermutation(
-                -base[i] if signs >> i & 1 else base[i] for i in range(n)
-            )
-
-
-def iterate_Bn(n: int, cap: int = DEFAULT_CAP) -> Iterator[SignedPermutation]:
+def iterate_Bn(n: int) -> Iterator[SignedPermutation]:
     """All 2^n * n! signed permutations of order n.
 
     Order: magnitude words lexicographically, and for each word all 2^n
-    sign choices with position 0 flipping fastest.  The cap is checked
-    before the iterator is returned.
+    sign choices with position 0 flipping fastest.  The work budget is
+    checked before the iterator is returned: past order 9 it refuses.
     """
-    check_cap(n, cap)
-    return _iter_bn(n)
+    _check_group(n)
+    return (
+        SignedPermutation(-m if signs >> i & 1 else m for i, m in enumerate(base))
+        for base in itertools.permutations(range(1, n + 1))
+        for signs in range(1 << n)
+    )

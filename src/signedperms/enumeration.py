@@ -11,21 +11,23 @@
                then a subset-lattice (zeta) transform that answers all 256
                pattern sets at one order
 
-naive, backtrack and mask are oracles, guarded by the order cap alone:
-count and sequence run them only by name, and the tests check transfer
-against them.  naive and mask share nothing with transfer but the fixed
-pattern indexing, so agreement with them is strong evidence of
-correctness; backtrack and transfer share the extension tables.  Only
-mask uses numpy, imported when it first runs, in a single process.
+naive, backtrack and mask are oracles.  Each refuses, before it counts, a
+job that visits over 2^9 9! words or prefixes: naive and mask visit all
+2^n n! words, backtrack sum_{k<n} C(n,k) b_k(T) prefixes, its b_k from
+transfer.  count and sequence run them only by name, and the tests check
+transfer against them.  naive and mask share nothing with transfer but the
+fixed pattern indexing, so agreement with them is strong evidence of
+correctness; backtrack and transfer share the extension tables.  Only mask
+uses numpy, imported when it first runs, in a single process.
 """
 
 import bisect
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
-    _PAIR_INDEX, DEFAULT_CAP, CapExceededError, PatternSet, avoids, check_cap,
+    _PAIR_INDEX, CapExceededError, PatternSet, _check_group, _check_work, avoids,
     iterate_Bn, pair_index,
 )
 
@@ -49,10 +51,9 @@ class CountResult(NamedTuple):
     method: str
 
 
-def count_naive(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
+def count_naive(n: int, tset: PatternSet) -> CountResult:
     """Count avoiders by filtering the full group, one word at a time."""
-    total = sum(1 for alpha in iterate_Bn(n, cap) if avoids(alpha, tset))
-    return CountResult(n, tset, total, NAIVE)
+    return CountResult(n, tset, sum(avoids(a, tset) for a in iterate_Bn(n)), NAIVE)
 
 
 def _added(s: int, new: int) -> int:
@@ -73,7 +74,24 @@ _EXTEND_UNBARRED, _EXTEND_BARRED = (
 )
 
 
-def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
+def _backtrack_work(n: int, mask: int) -> Iterator[int]:
+    # Running totals of the prefixes count_backtrack visits at order n: the
+    # C(n, k) b_k avoiders of each length k < n on magnitudes from 1..n, with
+    # b_k from transfer passes to orders 1, 2, 4, ..., n - 1, each made only
+    # once the totals before it are read.  A b_k of 0 ends the totals: an
+    # avoider's first k letters standardize to an avoider of order k.
+    work, k, m = 0, 0, 1
+    while k < n:
+        for (b,) in transfer_all_orders(min(m, n - 1), [mask])[k:]:
+            if b == 0:
+                return
+            work += math.comb(n, k) * b
+            yield work
+            k += 1
+        m *= 2
+
+
+def count_backtrack(n: int, tset: PatternSet) -> CountResult:
     """Count avoiders by extending prefixes left to right.
 
     A prefix is summarized by two bitmasks of used magnitudes, unbarred and
@@ -82,7 +100,7 @@ def count_backtrack(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountRe
     in ascending order; each is summarized once and tried unbarred, then
     barred.  Subtrees below a rejected letter are never visited.
     """
-    check_cap(n, cap)
+    _check_work(n, _backtrack_work(n, tset.mask))
     if n == 0:
         return CountResult(0, tset, 1, BACKTRACK)
     forbidden = tset.mask
@@ -221,7 +239,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
+def mask_histogram(n: int) -> dict[int, int]:
     """Frequencies of containment masks over all of B_n, in one numpy pass.
 
     Returns {mask: count}: how many order-n signed permutations realize
@@ -232,9 +250,9 @@ def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
     histogrammed.  The blocks' bucket counts are added up in exact Python
     integers, so no total can overflow.
     """
+    _check_group(n)
     import numpy as np
 
-    check_cap(n, cap)
     # keep each boolean mask block around a few MB; order 9 in one block
     # would hold about 186 MB of masks
     block_size = max(64, (1 << 22) >> n)
@@ -261,9 +279,7 @@ def mask_histogram(n: int, cap: int = DEFAULT_CAP) -> dict[int, int]:
     return {m: c for m, c in enumerate(hist) if c}
 
 
-def counts_all_subsets(
-    n: int, cap: int = DEFAULT_CAP, workers: int = 1
-) -> dict[PatternSet, int]:
+def counts_all_subsets(n: int, workers: int = 1) -> dict[PatternSet, int]:
     """Avoider counts for every one of the 256 pattern sets at order n.
 
     A word avoids T exactly when its containment mask is disjoint from T,
@@ -276,7 +292,7 @@ def counts_all_subsets(
     as bench/golden.py, keep working.
     """
     f = [0] * 256
-    for mask, c in mask_histogram(n, cap).items():
+    for mask, c in mask_histogram(n).items():
         f[mask] = c
     for i in range(8):
         bit = 1 << i
@@ -286,27 +302,24 @@ def counts_all_subsets(
     return {PatternSet(t): f[0xFF ^ t] for t in range(256)}
 
 
-def count_mask(n: int, tset: PatternSet, cap: int = DEFAULT_CAP) -> CountResult:
+def count_mask(n: int, tset: PatternSet) -> CountResult:
     """Count avoiders of one set via the histogram route."""
-    value = counts_all_subsets(n, cap)[tset]
-    return CountResult(n, tset, value, MASK)
+    return CountResult(n, tset, counts_all_subsets(n)[tset], MASK)
 
 
 _ORACLES = {NAIVE: count_naive, BACKTRACK: count_backtrack, MASK: count_mask}
 
 
-def count(
-    n: int, tset: PatternSet, method: str = TRANSFER, cap: int = DEFAULT_CAP
-) -> CountResult:
+def count(n: int, tset: PatternSet, method: str = TRANSFER) -> CountResult:
     """Count order-n avoiders of tset with the engine named by method.
 
     The default, transfer, reads order n from one pass of the transfer
     engine over tset alone, guarded by its memory estimate; naive,
-    backtrack and mask are the oracles, and cap guards only them.
+    backtrack and mask are the oracles, each guarded by its work.
     """
     if method == TRANSFER:
         return CountResult(n, tset, transfer_all_orders(n, [tset.mask])[n][0], TRANSFER)
     oracle = _ORACLES.get(method)
     if oracle is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return oracle(n, tset, cap)
+    return oracle(n, tset)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,11 +71,25 @@ class TestCount:
         assert "error:" in err
 
     def test_cap_exit_2(self, capsys):
-        code, _, err = run(
-            capsys, "count", "--patterns", "1 2", "--n", "12", "--method", "backtrack"
+        # the oracles' work budget is all 2^9 9! words of order 9: naive and
+        # mask refuse order 10, and backtracking refuses {1 2} at order 10,
+        # where it would visit about 260 million prefixes
+        for method in ("naive", "mask", "backtrack"):
+            code, out, err = run(
+                capsys, "count", "--patterns", "1 2", "--n", "10", "--method", method
+            )
+            assert (code, out) == (2, "")
+            assert "work budget" in err
+
+    def test_backtrack_refusal_is_prompt(self, capsys):
+        # {1 2} at order 60 is refused after transfer passes to a few orders
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "count", "--patterns", "1 2", "--n", "60", "--method", "backtrack"
         )
-        assert code == 2
-        assert "cap" in err
+        assert (code, out) == (2, "")
+        assert "work budget" in err
+        assert time.perf_counter() - start < 1
 
     def test_transfer_needs_no_cap(self, capsys):
         code, out, _ = run(capsys, "count", "--patterns", "1 2", "--n", "12")
@@ -85,17 +100,16 @@ class TestCount:
         assert (code, out) == (2, "")
         assert "budget" in err
 
-    def test_raised_cap_allows_more(self, capsys):
-        # order 10 passes the cap once it is raised to 10
-        code, out, _ = run(
-            capsys,
-            "count", "--patterns",
-            "1 2, 2 1, -1 2, 1 -2, -1 -2, 2 -1, -2 1, -2 -1",
-            "--n", "10", "--cap", "10",
-        )
-        assert (code, out) == (0, "0\n")
+    def test_takes_no_cap(self, capsys):
+        # the oracles guard themselves by their work, so --cap is a usage error
+        for command, order in (("count", "--n"), ("sequence", "--n-max")):
+            code, out, err = run(
+                capsys, command, "--patterns", "1 2", order, "3", "--cap", "9"
+            )
+            assert (code, out) == (2, "")
+            assert "unrecognized arguments: --cap 9" in err
 
-    def test_default_is_transfer_at_the_cap(self, capsys):
+    def test_default_is_transfer_at_order_9(self, capsys):
         code, out, _ = run(
             capsys, "count", "--patterns", "1 2", "--n", "9", "--format", "json"
         )
@@ -177,14 +191,31 @@ class TestSequence:
         )
         assert (code, out) == (0, "1,2,5,14,42,132\n")
 
-    def test_raised_cap_allows_backtrack(self, capsys):
-        # order 10 is past the oracles' default cap until --cap raises it;
-        # this set's avoiders number 1 + n(n+1)/2
-        argv = ("sequence", "--patterns", "1 2, 1 -2, -1 -2, 2 1", "--n-max", "10",
-                "--method", "backtrack", "--format", "csv")
-        assert run(capsys, *argv)[0] == 2
-        code, out, _ = run(capsys, *argv, "--cap", "10")
+    def test_backtrack_past_order_9(self, capsys):
+        # this set's avoiders number 1 + n(n+1)/2, so backtracking to order 10
+        # visits few prefixes and the work budget admits it with no flag
+        code, out, _ = run(
+            capsys, "sequence", "--patterns", "1 2, 1 -2, -1 -2, 2 1", "--n-max", "10",
+            "--method", "backtrack", "--format", "csv",
+        )
         assert (code, out) == (0, "1,2,4,7,11,16,22,29,37,46,56\n")
+
+    def test_oracle_refuses_before_counting(self, capsys, monkeypatch):
+        # order n_max is counted first, so a refused range counts no order
+        orders = []
+
+        def recorded(n, *args, **kwargs):
+            orders.append(n)
+            return oracle(n, *args, **kwargs)
+
+        oracle = cli.count
+        monkeypatch.setattr(cli, "count", recorded)
+        code, out, err = run(
+            capsys, "sequence", "--patterns", "1 2", "--n-max", "10",
+            "--method", "naive",
+        )
+        assert (code, out, orders) == (2, "", [10])
+        assert "work budget" in err
 
 
 class TestOrbits:
@@ -214,6 +245,14 @@ class TestOrbits:
 
     def test_takes_no_engine_flags(self, capsys):
         assert run(capsys, "orbits", "--cap", "5")[0] == 2
+        assert run(capsys, "orbits", "--method", "naive")[0] == 2
+
+    @pytest.mark.parametrize("size", ["-1", "9"])
+    def test_size_out_of_range_exit_2(self, capsys, size):
+        # a set has 0..8 patterns, so any other size is a usage error
+        code, out, err = run(capsys, "orbits", "--size", size)
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
 
 class TestCensus:
@@ -473,10 +512,10 @@ class TestImports:
     API = {
         "__version__", "all_orbits", "apply", "apply_to_pattern", "apply_to_set",
         "avoids", "BACKTRACK", "barring", "binomial", "canonical_representative",
-        "CapExceededError", "catalan", "CensusRecord", "CensusTable", "check_cap",
+        "CapExceededError", "catalan", "CensusRecord", "CensusTable",
         "complement", "compositions_sum", "containment_mask", "contains", "count",
         "count_backtrack", "count_mask", "count_naive", "CountResult",
-        "counts_all_subsets", "DEFAULT_CAP", "DuplicateMagnitudeError", "EMPTY_SET",
+        "counts_all_subsets", "DuplicateMagnitudeError", "EMPTY_SET",
         "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
         "factorial", "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
         "IDENTITY", "iterate_Bn", "load_cache", "MagnitudeOutOfRangeError", "MASK",

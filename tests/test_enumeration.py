@@ -1,11 +1,13 @@
 """Agreement and correctness of the counting engines."""
 
 import collections
+import contextlib
 import functools
 import gc
 import itertools
 import math
 import re
+import sys
 import time
 import tracemalloc
 
@@ -19,6 +21,7 @@ from signedperms import (
     FULL_SET,
     CapExceededError,
     PatternSet,
+    avoids,
     containment_mask,
     count,
     count_backtrack,
@@ -29,7 +32,7 @@ from signedperms import (
     mask_histogram,
     transfer_all_orders,
 )
-from signedperms import enumeration
+from signedperms import core, enumeration
 from conftest import NAMED_TRIPLES, oracle_count, oracle_pair_matches
 
 pattern_sets = st.integers(0, 255).map(PatternSet)
@@ -390,13 +393,108 @@ class TestDispatch:
             count(2, EMPTY_SET, method="magic")
 
     def test_caps_everywhere(self):
-        big = 12
-        for fn in (count_naive, count_backtrack):
-            with pytest.raises(CapExceededError):
-                fn(big, EMPTY_SET)
+        # naive and mask visit all 2^n n! words, over the budget from order 10;
+        # backtracking on {1 2} would visit about 260 million prefixes there
+        for fn in (count_naive, count_backtrack, count_mask):
+            with pytest.raises(CapExceededError, match="work budget"):
+                fn(10, PatternSet.parse("1 2"))
         with pytest.raises(CapExceededError):
-            mask_histogram(big)
+            mask_histogram(10)
         with pytest.raises(CapExceededError):
-            counts_all_subsets(big)
-        with pytest.raises(ValueError):
-            count_backtrack(-1, EMPTY_SET)
+            counts_all_subsets(10)
+        for fn in (count_naive, count_backtrack, count_mask):
+            with pytest.raises(ValueError):
+                fn(-1, EMPTY_SET)
+
+
+@contextlib.contextmanager
+def prefix_visits():
+    # counts the calls of count_backtrack's inner grow, one per prefix visited
+    visits = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "grow":
+            visits[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield visits
+    finally:
+        sys.setprofile(None)
+
+
+def backtrack_total(n: int, tset: PatternSet) -> int:
+    # the work count_backtrack's guard computes: its last running total
+    return max(enumeration._backtrack_work(n, tset.mask), default=0)
+
+
+class TestWorkBudget:
+    PREMISE_SETS = [EMPTY_SET, PatternSet.parse("1 2"),
+                    PatternSet.parse(NAMED_TRIPLES["T_2"]), FULL_SET]
+
+    def test_budget_is_order_9(self):
+        assert core._WORK_BUDGET == 2**9 * math.factorial(9) == 185_794_560
+
+    @pytest.mark.parametrize("tset", PREMISE_SETS, ids=str)
+    def test_prefixes_are_the_shorter_avoiders(self, tset):
+        # the prefixes of length k are the k-letter signed words on distinct
+        # magnitudes from 1..n that avoid tset: C(n, k) b_k of them, as each
+        # standardizes to an order-k avoider; backtracking visits those of
+        # every length k < n, and the guard's total says so in advance
+        for n in range(6):
+            words = [
+                sum(
+                    avoids([s * m for s, m in zip(signs, mags)], tset)
+                    for mags in itertools.permutations(range(1, n + 1), k)
+                    for signs in itertools.product((1, -1), repeat=k)
+                )
+                for k in range(n)
+            ]
+            assert words == [math.comb(n, k) * count_naive(k, tset).value
+                             for k in range(n)]
+            with prefix_visits() as visits:
+                count_backtrack(n, tset)
+            assert visits[0] == sum(words) == backtrack_total(n, tset), n
+
+    def test_a_count_of_0_ends_the_work(self):
+        # no two letters avoid all eight patterns, so the only prefixes are
+        # the empty one and the 2 * 78 single letters
+        assert list(enumeration._backtrack_work(78, FULL_SET.mask)) == [1, 1 + 2 * 78]
+        with prefix_visits() as visits:
+            assert count_backtrack(78, FULL_SET).value == 0
+        assert visits[0] == 1 + 2 * 78
+
+    def test_refusal_makes_short_passes(self, monkeypatch):
+        # {1 2} at order 60 is over the budget by order 5 already, so the
+        # passes stop at order 8 and no prefix is visited
+        orders = []
+
+        def recorded(n_max, masks):
+            orders.append(n_max)
+            return transfer(n_max, masks)
+
+        transfer = enumeration.transfer_all_orders
+        monkeypatch.setattr(enumeration, "transfer_all_orders", recorded)
+        with prefix_visits() as visits, pytest.raises(CapExceededError):
+            count_backtrack(60, PatternSet.parse("1 2"))
+        assert visits[0] == 0
+        assert orders and max(orders) <= 16
+
+    def test_order_9_is_admitted_for_every_set(self):
+        # on the guards alone: nothing is counted
+        core._check_group(9)
+        for tset in ALL_SETS:
+            core._check_work(9, enumeration._backtrack_work(9, tset.mask))
+        # the empty set is the most work
+        assert backtrack_total(9, EMPTY_SET) == 120_528_883
+
+    @pytest.mark.parametrize("text, reach", [
+        (NAMED_TRIPLES["T_2"], 13),
+        ("1 2, 1 -2, -1 -2, 2 1", 21),
+        ("1 2, 2 1", 10),
+    ])
+    def test_backtracking_reach(self, text, reach):
+        mask = PatternSet.parse(text).mask
+        core._check_work(reach, enumeration._backtrack_work(reach, mask))
+        with pytest.raises(CapExceededError):
+            core._check_work(reach + 1, enumeration._backtrack_work(reach + 1, mask))
