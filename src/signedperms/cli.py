@@ -1,10 +1,12 @@
 """Command line interface.
 
-Subcommands: count, sequence, orbits, census, verify.  Output is byte
-identical across runs for the same inputs; the whole subcommand's elapsed
-time goes to stderr, and only under --timing.  Exit codes: 0 success, 1
-verification found a mismatch, 2 usage or input error, 141 (128 + SIGPIPE)
-with nothing on stderr when stdout is closed before the output is written.
+Subcommands: count, sequence, orbits, census, verify.  Each writes its
+output to stdout; census's --cache file is the only file written.  Output
+is byte identical across runs for the same inputs; the whole subcommand's
+elapsed time goes to stderr, and only under --timing.  Exit codes: 0
+success, 1 verification found a mismatch, 2 usage or input error, 141
+(128 + SIGPIPE) with nothing on stderr when stdout is closed before the
+output is written.
 """
 
 import argparse
@@ -114,10 +116,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
         cache_path.write_bytes(data if args.format == "json" else export(table, "json"))
-    if args.out:
-        Path(args.out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode())
+    sys.stdout.write(data.decode())
     return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
 
 
@@ -214,10 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cen = sub.add_parser("census", help="sequences and verification for all orbits")
     p_cen.add_argument("--n-max", type=int, required=True)
-    p_cen.add_argument("--out", default=None, help="write output to this file")
     p_cen.add_argument("--cache", default=None,
-                       help="JSON census to check against the recount and "
-                            "update in place")
+                       help="JSON census to check against the recount and update "
+                            "in place; the only file written, output goes to stdout")
     common(p_cen, ("json", "csv"))
     p_cen.set_defaults(func=_cmd_census)
 

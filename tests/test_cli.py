@@ -274,15 +274,15 @@ class TestCensus:
         assert lines[0].startswith("orbit_id,representative,size,b_0,b_1,b_2,")
         assert len(lines) == 59
 
-    def test_out_file(self, capsys, tmp_path):
+    def test_takes_no_out(self, capsys, tmp_path):
+        # census writes its output only to stdout, so --out is a usage error
         target = tmp_path / "census.json"
-        code, out, _ = run(
+        code, out, err = run(
             capsys, "census", "--n-max", "2", "--out", str(target)
         )
-        assert code == 0
-        assert out == ""
-        doc = json.loads(target.read_text())
-        assert doc["n_max"] == 2
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --out" in err
+        assert not target.exists()
 
     def test_cache_create_then_extend(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
@@ -314,6 +314,16 @@ class TestCensus:
         assert json.loads(out)["n_max"] == 4
         assert json.loads(cache.read_text())["n_max"] == 7
         assert cache.read_bytes() == before
+
+        # a shorter run leaves the cache's bytes alone in either format
+        for fmt in ("json", "csv"):
+            code, out, _ = run(
+                capsys, "census", "--n-max", "4", "--format", fmt,
+                "--cache", str(cache),
+            )
+            assert code == 0
+            assert out.startswith("{" if fmt == "json" else "orbit_id,")
+            assert cache.read_bytes() == before
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
         claim = formulas._EVALUATORS["EQ12"][0]
