@@ -61,30 +61,12 @@ class CensusRecord(NamedTuple):
     verification_details: tuple[str, ...] = ()
 
 
-class CensusTable:
+class CensusTable(NamedTuple):
     """A census: n_max, one record per orbit, and a metadata object."""
 
-    __slots__ = ("n_max", "records", "metadata")
-
-    def __init__(
-        self, n_max: int, records: list[CensusRecord], metadata: dict | None = None
-    ) -> None:
-        self.n_max = n_max
-        self.records = records
-        self.metadata = {} if metadata is None else metadata
-
-    def __repr__(self) -> str:
-        return (
-            f"CensusTable(n_max={self.n_max!r}, records={self.records!r}, "
-            f"metadata={self.metadata!r})"
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return (self.n_max, self.records, self.metadata) == (
-                other.n_max, other.records, other.metadata
-            )
-        return NotImplemented
+    n_max: int
+    records: list[CensusRecord]
+    metadata: dict
 
 
 class EntryCheck(NamedTuple):

@@ -188,18 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=formats, default=formats[0],
                        help="output format (default %(default)s)")
 
+    patterns_help = 'comma-separated patterns, e.g. "1 2, -2 1"'
+    method_help = ("transfer (default) is the counting core; naive, backtrack and "
+                   "mask are oracles that refuse jobs over 2^9 9! words or prefixes")
+
     p_count = sub.add_parser("count", help="count avoiders of a pattern set at one order")
-    p_count.add_argument("--patterns", required=True,
-                         help='comma-separated patterns, e.g. "1 2, -2 1"')
+    p_count.add_argument("--patterns", required=True, help=patterns_help)
     p_count.add_argument("--n", type=int, required=True, help="order to count at")
-    p_count.add_argument("--method", choices=METHODS, default=TRANSFER)
+    p_count.add_argument("--method", choices=METHODS, default=TRANSFER, help=method_help)
     common(p_count, ("plain", "json"))
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="count avoiders for all orders 0..n-max")
-    p_seq.add_argument("--patterns", required=True)
-    p_seq.add_argument("--n-max", type=int, required=True)
-    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER)
+    p_seq.add_argument("--patterns", required=True, help=patterns_help)
+    p_seq.add_argument("--n-max", type=int, required=True, help="last order to count at")
+    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER, help=method_help)
     common(p_seq, ("plain", "json", "csv"))
     p_seq.set_defaults(func=_cmd_sequence)
 
@@ -212,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_orb.set_defaults(func=_cmd_orbits)
 
     p_cen = sub.add_parser("census", help="sequences and verification for all orbits")
-    p_cen.add_argument("--n-max", type=int, required=True)
+    p_cen.add_argument("--n-max", type=int, required=True,
+                       help="last order to count every orbit at")
     p_cen.add_argument("--cache", default=None,
                        help="JSON census to check against the recount and update "
                             "in place; the only file written, output goes to stdout")
@@ -220,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.set_defaults(func=_cmd_census)
 
     p_ver = sub.add_parser("verify", help="check all registered formulas by enumeration")
-    p_ver.add_argument("--n-max", type=int, default=6)
+    p_ver.add_argument("--n-max", type=int, default=6,
+                       help="last order to check formulas at (default %(default)s)")
     common(p_ver, ("plain", "json"))
     p_ver.set_defaults(func=_cmd_verify)
 

@@ -187,6 +187,8 @@ class PatternSet:
     __slots__ = ("mask",)
 
     def __init__(self, mask: int = 0) -> None:
+        if type(mask) is not int:
+            raise TypeError(f"mask must be an int, got {mask!r}")
         if not 0 <= mask <= 0xFF:
             raise ValueError(f"mask out of range: {mask}")
         object.__setattr__(self, "mask", mask)

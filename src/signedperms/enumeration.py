@@ -180,7 +180,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     if n_max < 0:
         raise ValueError(f"order must be nonnegative, got {n_max}")
     for t in masks:
-        if not 0 <= t < 256:
+        if type(t) is not int or not 0 <= t < 256:
             raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
     # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
     # and per reached state an int of fields of about log2(2^n_max n_max!)

@@ -158,7 +158,7 @@ class TestRunCensus:
 
     def test_cache_with_wrong_orbits(self, table5):
         broken = run_census(2)
-        broken.records = broken.records[:-1]
+        broken = broken._replace(records=broken.records[:-1])
         with pytest.raises(SchemaError):
             run_census(3, cache=broken)
 
@@ -192,7 +192,7 @@ class TestRunCensus:
         with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
             run_census(4, cache=cache)
         # right ids, wrong order
-        cache.records = fresh[:5] + fresh[6:7] + fresh[5:6] + fresh[7:]
+        cache = cache._replace(records=fresh[:5] + fresh[6:7] + fresh[5:6] + fresh[7:])
         with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
             run_census(4, cache=cache)
 
@@ -333,13 +333,12 @@ class TestSerialization:
         assert load_cache(path).records == table.records
 
     def test_json_matches_json_dumps_on_nested_metadata(self, table5):
-        table = copy.deepcopy(table5)
-        table.metadata = {
+        table = copy.deepcopy(table5)._replace(metadata={
             "version": "0.1.0",
             "run": {"orders": [0, 1, {"deep": [None, True, 1.5]}], "empty": {}},
             "none": [],
             "note": 'quote " and \u00fc',
-        }
+        })
         assert export(table) == self.reference_json(table)
         empty = CensusTable(0, [], {})
         assert export(empty) == self.reference_json(empty)
@@ -350,6 +349,17 @@ class TestSerialization:
                 assert twin == obj and twin is not obj
                 assert type(twin) is type(obj)
         assert export(pickle.loads(pickle.dumps(table5))) == export(table5)
+
+    def test_fields_are_read_only(self, table5):
+        # a changed table is a copy, as for every other record
+        metadata = table5.metadata
+        blank = table5._replace(metadata={})
+        assert blank.metadata == {} and blank.records is table5.records
+        assert table5.metadata is metadata and table5.metadata != {}
+        with pytest.raises(AttributeError):
+            table5.n_max = 6
+        assert table5.n_max == 5
+        assert repr(CensusTable(0, [], {})) == "CensusTable(n_max=0, records=[], metadata={})"
 
     def test_export_deterministic(self, table5):
         assert export(table5) == export(run_census(5))

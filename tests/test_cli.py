@@ -497,6 +497,19 @@ def run_fresh(code: str) -> str:
     return done.stdout
 
 
+class TestHelp:
+    def test_every_option_has_help(self):
+        parser = cli.build_parser()
+        commands = next(a.choices for a in parser._actions if isinstance(a.choices, dict))
+        assert set(commands) == {"count", "sequence", "orbits", "census", "verify"}
+        for name, sub in commands.items():
+            for action in sub._actions:
+                assert action.help, f"{name} {action.option_strings}"
+                if "--method" in action.option_strings:
+                    assert "transfer (default) is the counting core" in action.help
+                    assert "naive, backtrack and mask are oracles" in action.help
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("argv", [
         ("census", "--n-max", "6"),

@@ -67,6 +67,7 @@ class TestValidation:
         w = validate_permutation([2, -1, -3])
         assert w.order == 3
         assert w.oneline() == "2 -1 -3"
+        assert repr(w) == "SignedPermutation([2, -1, -3])"
 
 
 class TestPatterns:
@@ -173,12 +174,17 @@ class TestPatternSet:
             PatternSet(256)
         with pytest.raises(ValueError):
             PatternSet(-1)
+        # 3.5 would break len(), 2.0 equal PatternSet(2), True print as a mask
+        for bad in (3.5, 2.0, True):
+            with pytest.raises(TypeError, match="mask must be an int"):
+                PatternSet(bad)
         ps = PatternSet(5)
         with pytest.raises(AttributeError):
             ps.mask = 6
         assert ps.mask == 5
         assert repr(ps) == "PatternSet(mask=5)"
         assert ps == PatternSet(mask=5) and hash(ps) == hash(PatternSet(5))
+        assert PatternSet(1) != 1 and not PatternSet(1) == 1
 
     def test_ordering_by_mask(self):
         assert PatternSet(3) < PatternSet(4)

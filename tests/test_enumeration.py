@@ -251,9 +251,12 @@ class TestTransfer:
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
             transfer_all_orders(-1, range(256))
 
-    @pytest.mark.parametrize("masks, bad", [([256], 256), ([-1], -1), ([0, 300], 300)])
+    @pytest.mark.parametrize("masks, bad", [
+        ([256], 256), ([-1], -1), ([0, 300], 300), ([1.5], 1.5), ([True], True),
+        ([0, 2.0], 2.0),
+    ])
     def test_rejects_masks_outside_a_byte(self, masks, bad):
-        # a mask past 8 bits would be read as a different set
+        # a mask past 8 bits would be read as a different set, and True as 1
         with pytest.raises(ValueError, match=f"mask {bad} is not a pattern-set mask"):
             transfer_all_orders(3, masks)
 
