@@ -7,8 +7,8 @@ The other three are oracles.  The naive engine filters all 2^n n! words.
 The backtracking engine prunes prefixes that already realize a forbidden
 pattern.  The mask engine makes one vectorized pass over the whole group,
 histograms containment masks, and answers every one of the 256 pattern
-sets at once via a subset-lattice transform.  They agree everywhere; they
-just take very different times.
+sets at once by summing, for each, the buckets disjoint from it.  They
+agree everywhere; they just take very different times.
 """
 
 import time

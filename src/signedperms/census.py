@@ -267,52 +267,38 @@ def _pattern_set(data, key: str) -> PatternSet:
         raise SchemaError(f"bad pattern set in {key} {data!r}: {exc}") from None
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    # a JSON array of encoded items, laid out as json.dumps(indent=2) lays
-    # it out when its opening bracket sits on a line indented by pad
-    if not items:
-        return "[]"
+def _json(obj, pad: str = "") -> str:
+    # the text of json.dumps(obj, indent=2) with every line after the first
+    # indented by pad more, a PatternSet as its list of [first, second]
+    # letters: with an indent, json.dumps runs its slow pure-Python encoder
+    if type(obj) is int:  # as json.dumps writes it, and much faster
+        return str(obj)
+    if isinstance(obj, str):
+        return _str(obj)
     inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
-def _set_json(mask: int, pad: str) -> str:
-    # a pattern set is a list of two-letter lists
-    inner = pad + "    "
-    letters = [p.letters for p in PatternSet(mask)]
-    return _json_list([f"[\n{inner}{x},\n{inner}{y}\n{pad}  ]" for x, y in letters], pad)
-
-
-def _record_json(rec: CensusRecord) -> str:
-    pad = "      "
-    fields = [
-        f'"orbit_id": {rec.orbit_id}',
-        '"representative": ' + _set_json(rec.representative.mask, pad),
-        '"paper_names": ' + _json_list([_str(s) for s in rec.paper_names], pad),
-        '"members": '
-        + _json_list([_set_json(m.mask, pad + "  ") for m in rec.members], pad),
-        '"sequence": ' + _json_list([f'"{v}"' for v in rec.sequence], pad),
-        '"formula_ids": ' + _json_list([_str(s) for s in rec.formula_ids], pad),
-        '"verification": ' + _str(rec.verification),
-        f'"wilf_class": {rec.wilf_class}',
-    ]
-    if rec.verification_details:
-        details = _json_list([_str(s) for s in rec.verification_details], pad)
-        fields.append('"verification_details": ' + details)
-    return "{\n" + pad + (",\n" + pad).join(fields) + "\n    }"
+    if isinstance(obj, PatternSet):
+        obj = [p.letters for p in obj]
+    if isinstance(obj, dict):
+        items = [f"{_json(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
+                 for k, v in obj.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        items = [_json(v, inner) for v in obj]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
+    return json.dumps(obj)
 
 
 def export(table: CensusTable, format: str = "json") -> bytes:
     """Serialize a census deterministically, as JSON or CSV."""
     if format == "json":
-        # the bytes of json.dumps(doc, indent=2) + "\n", written directly:
-        # with an indent, json.dumps runs its slow pure-Python encoder
-        records = _json_list([_record_json(r) for r in table.records], "  ")
-        metadata = json.dumps(table.metadata, indent=2).replace("\n", "\n  ")
-        return (
-            f'{{\n  "n_max": {table.n_max},\n  "records": {records},\n'
-            f'  "metadata": {metadata}\n}}\n'
-        ).encode()
+        records = []
+        for rec in table.records:
+            fields = rec._asdict()
+            fields["sequence"] = [str(v) for v in rec.sequence]
+            if not rec.verification_details:
+                del fields["verification_details"]
+            records.append(fields)
+        return (_json(dict(table._asdict(), records=records)) + "\n").encode()
     if format == "csv":
         import csv
         import io

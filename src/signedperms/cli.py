@@ -18,13 +18,7 @@ import warnings
 from pathlib import Path
 
 from .census import (
-    MISMATCH,
-    UNCHECKED,
-    VERIFIED,
-    export,
-    load_cache,
-    run_census,
-    verify_registry,
+    MISMATCH, UNCHECKED, VERIFIED, export, load_cache, run_census, verify_registry,
 )
 from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders

@@ -58,12 +58,17 @@ class CapExceededError(ValueError):
 _WORK_BUDGET = (1 << 9) * math.factorial(9)
 
 
+def _check_order(n: int) -> None:
+    # an order is a nonnegative int: a bool or a float compares equal to one
+    if type(n) is not int or n < 0:
+        raise ValueError(f"order must be nonnegative, got {n!r}")
+
+
 def _check_work(n: int, work: Iterable[int]) -> None:
-    # refuse a negative order, and an oracle job whose work, given as running
+    # refuse a bad order, and an oracle job whose work, given as running
     # totals of the words or prefixes it visits, passes _WORK_BUDGET; the
     # totals are read only until one is over
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    _check_order(n)
     if any(w > _WORK_BUDGET for w in work):
         raise CapExceededError(f"order {n} is over the oracles' work budget of "
                                f"{_WORK_BUDGET} words or prefixes")
@@ -71,6 +76,7 @@ def _check_work(n: int, work: Iterable[int]) -> None:
 
 def _check_group(n: int) -> None:
     # visiting all of B_n: the running products 2, 8, 48, ... reach 2^n n!
+    _check_order(n)
     _check_work(n, itertools.accumulate(range(2, 2 * n + 1, 2), operator.mul))
 
 
@@ -180,7 +186,7 @@ class PatternSet:
 
     Bit i is set when the pattern with index i belongs to the set.  The
     integer mask doubles as a canonical encoding: histogram buckets and
-    subset-lattice transforms index arrays by it directly.  Instances are
+    the transfer engine's count lists are indexed by it.  Instances are
     immutable and compare, hash and order by mask.
     """
 

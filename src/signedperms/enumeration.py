@@ -7,9 +7,9 @@
                estimate of its memory
     naive      filter the full group through avoids(); the reference
     backtrack  depth-first search over prefixes with O(1) extension tests
-    mask       vectorized histogram of containment masks over all of B_n,
-               then a subset-lattice (zeta) transform that answers all 256
-               pattern sets at one order
+    mask       vectorized histogram of containment masks over all of B_n;
+               b_n(T) sums the buckets disjoint from T, for one set or
+               all 256 at one order
 
 naive, backtrack and mask are oracles.  Each refuses, before it counts, a
 job that visits over 2^9 9! words or prefixes: naive and mask visit all
@@ -27,8 +27,8 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
-    _PAIR_INDEX, CapExceededError, PatternSet, _check_group, _check_work, avoids,
-    iterate_Bn, pair_index,
+    _PAIR_INDEX, CapExceededError, PatternSet, _check_group, _check_order, _check_work,
+    avoids, iterate_Bn, pair_index,
 )
 
 __all__ = [
@@ -177,8 +177,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     dropped by one AND with a mask of all-ones fields per run of moves
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
-    if n_max < 0:
-        raise ValueError(f"order must be nonnegative, got {n_max}")
+    _check_order(n_max)
     for t in masks:
         if type(t) is not int or not 0 <= t < 256:
             raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
@@ -283,28 +282,20 @@ def counts_all_subsets(n: int, workers: int = 1) -> dict[PatternSet, int]:
     """Avoider counts for every one of the 256 pattern sets at order n.
 
     A word avoids T exactly when its containment mask is disjoint from T,
-    so summing histogram buckets over subsets of the complement of T gives
-    the count.  The sum-over-subsets transform does this for all T in
-    8 * 256 additions on exact Python integers.
+    so b_n(T) is the sum of the histogram buckets disjoint from T.
 
     workers is accepted and ignored: the histogram runs in one process,
     and the parameter stays only so that callers still passing it, such
     as bench/golden.py, keep working.
     """
-    f = [0] * 256
-    for mask, c in mask_histogram(n).items():
-        f[mask] = c
-    for i in range(8):
-        bit = 1 << i
-        for s in range(256):
-            if s & bit:
-                f[s] += f[s ^ bit]
-    return {PatternSet(t): f[0xFF ^ t] for t in range(256)}
+    hist = mask_histogram(n)
+    return {PatternSet(t): sum(c for m, c in hist.items() if not m & t) for t in range(256)}
 
 
 def count_mask(n: int, tset: PatternSet) -> CountResult:
-    """Count avoiders of one set via the histogram route."""
-    return CountResult(n, tset, counts_all_subsets(n)[tset], MASK)
+    """Count avoiders of one set: the histogram buckets disjoint from it."""
+    value = sum(c for m, c in mask_histogram(n).items() if not m & tset.mask)
+    return CountResult(n, tset, value, MASK)
 
 
 _ORACLES = {NAIVE: count_naive, BACKTRACK: count_backtrack, MASK: count_mask}

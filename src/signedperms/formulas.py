@@ -13,7 +13,7 @@ from math import comb as binomial
 from math import factorial
 from typing import NamedTuple
 
-from .core import PatternSet
+from .core import PatternSet, _check_order
 from .symmetry import canonical_representative
 
 __all__ = [
@@ -216,8 +216,7 @@ FORMULA_IDS: tuple[str, ...] = tuple(_EVALUATORS)
 
 def eval_formula(formula_id: str, n: int) -> int:
     """Exact value of the named closed form at order n (total for n >= 0)."""
-    if n < 0:
-        raise ValueError(f"order must be nonnegative, got {n}")
+    _check_order(n)
     try:
         _, fn = _EVALUATORS[formula_id]
     except KeyError:

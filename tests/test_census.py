@@ -343,6 +343,20 @@ class TestSerialization:
         empty = CensusTable(0, [], {})
         assert export(empty) == self.reference_json(empty)
 
+        class Sub(dict):
+            pass
+
+        # keys json.dumps turns into strings, and containers it takes as
+        # their base types
+        odd = table._replace(metadata={
+            2: "a", None: 1, "": [], 1.5: False, True: "t",
+            "pair": (3, ("x", ())), "sub": Sub(inner=Sub()), "filled": Sub(k=[1]),
+        })
+        assert export(odd) == self.reference_json(odd)
+        for n in (0, 8):
+            fresh = run_census(n)
+            assert export(fresh) == self.reference_json(fresh)
+
     def test_pickle_and_deepcopy(self, table5):
         for obj in (PatternSet(5), table5.records[5], table5):
             for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):

@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -80,3 +81,11 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         assert cli_main(argv[1:]) == 0, line
         capsys.readouterr()
     assert load_cache(tmp_path / "census.json").n_max == 6
+
+
+def test_readme_gives_the_package_line_count():
+    # the README's count is `wc -l src/signedperms/*.py`: newlines, summed
+    text = (ROOT / "README.md").read_text()
+    claimed = int(re.search(r"The package is (\d+) lines of Python", text)[1])
+    files = sorted((ROOT / "src" / "signedperms").glob("*.py"))
+    assert claimed == sum(path.read_bytes().count(b"\n") for path in files)

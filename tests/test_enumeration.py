@@ -28,9 +28,12 @@ from signedperms import (
     count_mask,
     count_naive,
     counts_all_subsets,
+    eval_formula,
     iterate_Bn,
     mask_histogram,
+    run_census,
     transfer_all_orders,
+    verify_registry,
 )
 from signedperms import core, enumeration
 from conftest import NAMED_TRIPLES, oracle_count, oracle_pair_matches
@@ -408,6 +411,24 @@ class TestDispatch:
         for fn in (count_naive, count_backtrack, count_mask):
             with pytest.raises(ValueError):
                 fn(-1, EMPTY_SET)
+
+    @pytest.mark.parametrize("n", [True, 2.0, 1.5])
+    @pytest.mark.parametrize("call", [
+        lambda n: transfer_all_orders(n, [0]),
+        lambda n: count_naive(n, EMPTY_SET),
+        lambda n: count_backtrack(n, EMPTY_SET),
+        lambda n: count_mask(n, EMPTY_SET),
+        iterate_Bn,
+        run_census,
+        verify_registry,
+        lambda n: eval_formula("TH4_2", n),
+    ], ids=["transfer", "naive", "backtrack", "mask", "iterate_Bn", "run_census",
+            "verify_registry", "eval_formula"])
+    def test_orders_must_be_ints(self, call, n):
+        # True and 2.0 equal ints, yet an order that is not an int is refused
+        # before anything is counted, not read as 1 or failing further on
+        with pytest.raises(ValueError, match=re.escape(f"order must be nonnegative, got {n!r}")):
+            call(n)
 
 
 @contextlib.contextmanager
