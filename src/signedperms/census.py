@@ -7,11 +7,14 @@ verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
 guarded by its memory budget, not by the oracles' work budget, and their
 formula checks from one loop, _check_registry.  Tables round-trip through
-a JSON schema (export / load_cache); a cached table is checked against
+JSON: export writes the fields of CensusTable and CensusRecord, and
+load_cache reads each field back as CensusRecord declares it, raising
+SchemaError for any malformed one.  A cached table is checked against
 re-derived counts, never trusted, before a census extends it.
 """
 
 import json
+import reprlib
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import NamedTuple
@@ -257,16 +260,6 @@ def verify_registry(n_max: int) -> VerificationReport:
     return VerificationReport(n_max, checks, tuple(superseded))
 
 
-def _pattern_set(data, key: str) -> PatternSet:
-    try:
-        # letters must be ints: a bool or a float compares equal to one
-        if type(data) is not list or any(type(x) is not int for p in data for x in p):
-            raise TypeError("a pattern set is a list of lists of int letters")
-        return PatternSet.from_patterns(map(tuple, data))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad pattern set in {key} {data!r}: {exc}") from None
-
-
 def _json(obj, pad: str = "") -> str:
     # the text of json.dumps(obj, indent=2) with every line after the first
     # indented by pad more, a PatternSet as its list of [first, second]
@@ -279,8 +272,9 @@ def _json(obj, pad: str = "") -> str:
     if isinstance(obj, PatternSet):
         obj = [p.letters for p in obj]
     if isinstance(obj, dict):
-        items = [f"{_json(k if isinstance(k, str) else json.dumps(k))}: {_json(v, inner)}"
-                 for k, v in obj.items()]
+        # a key that is not a str as json.dumps writes it, or json.dumps's TypeError
+        items = [f"{_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
+                 f"{_json(v, inner)}" for k, v in obj.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}" if items else "{}"
     if isinstance(obj, (list, tuple)):
         items = [_json(v, inner) for v in obj]
@@ -326,14 +320,28 @@ def _require(cond: bool, message: str) -> None:
         raise SchemaError(message)
 
 
-def _strings(raw: dict, key: str) -> tuple[str, ...]:
-    # a record's list of strings; verification_details alone may be absent
-    items = raw.get(key, [])
-    _require(
-        type(items) is list and all(type(s) is str for s in items),
-        f"{key} must be a list of strings",
-    )
-    return tuple(items)
+def _read(value, kind, key: str):
+    # a parsed JSON value as the type kind that CensusRecord declares for
+    # field key: the inverse of export, which writes counts as digit strings
+    try:
+        if kind in (int, str):
+            if type(value) is not kind:  # a bool or a float compares equal to an int
+                raise TypeError(f"not {kind.__name__}")
+            return value
+        if type(value) is not list:
+            raise TypeError("not a list")
+        if kind is PatternSet:  # a list of [first, second] letters
+            if any(type(x) is not int for p in value for x in p):
+                raise TypeError("letters must be ints")
+            return PatternSet.from_patterns(map(tuple, value))
+        if kind == tuple[int, ...]:
+            if not all(type(s) is str and s.isascii() and s.isdigit() for s in value):
+                raise ValueError("counts must be decimal digit strings")
+            return tuple(map(int, value))
+    except (TypeError, ValueError) as exc:  # int()'s digit limit among them
+        raise SchemaError(f"bad {key} {reprlib.repr(value)}: {exc}") from None
+    # any other kind is tuple[X, ...], whose items are read as X
+    return tuple(_read(v, kind.__args__[0], key) for v in value)
 
 
 def load_cache(path: str | Path) -> CensusTable:
@@ -348,39 +356,18 @@ def load_cache(path: str | Path) -> CensusTable:
     _require(type(n_max) is int and n_max >= 0, "n_max must be a nonnegative int")
     raw_records = doc["records"]
     _require(isinstance(raw_records, list), "records must be a list")
+    kinds = CensusRecord.__annotations__
     records = []
     for raw in raw_records:
         _require(isinstance(raw, dict), "each record must be an object")
-        for key in CensusRecord._fields[:-1]:  # verification_details is optional
-            _require(key in raw, f"record missing key {key!r}")
-        sequence = raw["sequence"]
-        _require(
-            type(sequence) is list and len(sequence) == n_max + 1
-            and all(type(s) is str and s.isascii() and s.isdigit() for s in sequence),
-            f"sequence must list exactly n_max + 1 decimal digit strings: {sequence!r}",
-        )
-        _require(
-            raw["verification"] in (VERIFIED, MISMATCH, UNCHECKED, ENUMERATION_ONLY),
-            f"unknown verification value {raw['verification']!r}",
-        )
-        _require(
-            type(raw["orbit_id"]) is int and type(raw["wilf_class"]) is int,
-            "orbit_id and wilf_class must be ints",
-        )
-        _require(type(raw["members"]) is list, "members must be a list")
-        records.append(
-            CensusRecord(
-                orbit_id=raw["orbit_id"],
-                representative=_pattern_set(raw["representative"], "representative"),
-                paper_names=_strings(raw, "paper_names"),
-                members=tuple(_pattern_set(m, "members") for m in raw["members"]),
-                sequence=tuple(map(int, sequence)),
-                formula_ids=_strings(raw, "formula_ids"),
-                verification=raw["verification"],
-                wilf_class=raw["wilf_class"],
-                verification_details=_strings(raw, "verification_details"),
-            )
-        )
+        missing = [k for k in kinds if k not in raw and k not in CensusRecord._field_defaults]
+        _require(not missing, f"record missing keys {missing}")
+        rec = CensusRecord(**{k: _read(raw[k], kinds[k], k) for k in kinds if k in raw})
+        _require(len(rec.sequence) == n_max + 1,
+                 f"sequence must list exactly n_max + 1 counts, not {len(rec.sequence)}")
+        _require(rec.verification in (VERIFIED, MISMATCH, UNCHECKED, ENUMERATION_ONLY),
+                 f"unknown verification value {rec.verification!r}")
+        records.append(rec)
     metadata = doc.get("metadata", {})
     _require(isinstance(metadata, dict), "metadata must be an object")
     return CensusTable(n_max, records, metadata)

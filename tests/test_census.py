@@ -353,6 +353,12 @@ class TestSerialization:
             "pair": (3, ("x", ())), "sub": Sub(inner=Sub()), "filled": Sub(k=[1]),
         })
         assert export(odd) == self.reference_json(odd)
+        # and a key it refuses, with its error
+        tupled = table._replace(metadata={"a": 1, (1, 2): "x"})
+        with pytest.raises(TypeError) as dumps_error:
+            self.reference_json(tupled)
+        with pytest.raises(TypeError, match=re.escape(str(dumps_error.value))):
+            export(tupled)
         for n in (0, 8):
             fresh = run_census(n)
             assert export(fresh) == self.reference_json(fresh)
@@ -471,6 +477,12 @@ class TestSerialization:
             ("members", None),
             ("representative", [[1.0, 2.0]]),
             ("members", [[[True, 2]]]),
+            ("orbit_id", "0"),
+            ("wilf_class", True),
+            ("verification", 5),
+            ("representative", {"1": 2}),
+            ("members", [[[1, 3]]]),
+            ("sequence", "12"),
         ],
     )
     def test_load_rejects_mistyped_fields(self, tmp_path, key, value):
@@ -484,6 +496,19 @@ class TestSerialization:
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=key):
+            load_cache(p)
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="int() reads 5000 digits",
+    )
+    def test_load_rejects_overlong_count(self, tmp_path):
+        # past int()'s limit on digits, a count is a malformed field too
+        doc = json.loads(export(run_census(1)).decode())
+        doc["records"][1]["sequence"][1] = "1" * 5000
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="sequence"):
             load_cache(p)
 
     def test_load_reads_utf8_in_any_locale(self, tmp_path):
