@@ -18,8 +18,7 @@ from .symmetry import canonical_representative
 
 __all__ = [
     "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "binomial", "catalan",
-    "compositions_sum", "entries_for", "eval_formula", "factorial", "fibonacci",
-    "registry",
+    "entries_for", "eval_formula", "factorial", "fibonacci", "registry",
 ]
 
 
@@ -47,42 +46,6 @@ def fibonacci(m: int) -> int:
     return a
 
 
-def compositions_sum(n: int, min_part: int = 1, num_parts: int | None = None) -> int:
-    """Sum of prod(part!) over compositions of n.
-
-    With num_parts=None: compositions into any number of parts, each at
-    least min_part (which must then be >= 1 for the sum to be finite);
-    n = 0 contributes the empty composition, worth 1.  With num_parts=d:
-    ordered tuples of exactly d parts, each >= min_part (min_part = 0
-    allows zero parts, 0! = 1).
-    """
-    if n < 0:
-        raise ValueError("composition target must be nonnegative")
-    if num_parts is None:
-        if min_part < 1:
-            raise ValueError("open-ended compositions need min_part >= 1")
-        sums = [0] * (n + 1)
-        sums[0] = 1
-        for k in range(1, n + 1):
-            sums[k] = sum(
-                factorial(i) * sums[k - i] for i in range(min_part, k + 1)
-            )
-        return sums[n]
-    if num_parts < 0:
-        raise ValueError("number of parts must be nonnegative")
-    if min_part < 0:
-        raise ValueError("minimum part must be nonnegative")
-    prev = [1] + [0] * n
-    for _ in range(num_parts):
-        cur = [0] * (n + 1)
-        for k in range(n + 1):
-            cur[k] = sum(
-                factorial(i) * prev[k - i] for i in range(min_part, k + 1)
-            )
-        prev = cur
-    return prev[n]
-
-
 def _eq1(n: int) -> int:
     return sum(binomial(n, k) ** 2 * factorial(k) for k in range(n + 1))
 
@@ -104,15 +67,21 @@ def _eq4(n: int) -> int:
 
 
 def _eq5(n: int) -> int:
+    # b_n = 2 c_n for n >= 1, where sum_m c_m x^m = 1 / (2 - F) and F = sum_k k! x^k
     if n == 0:
         return 1
-    return 2 * compositions_sum(n, min_part=1)
+    c = [1]
+    for m in range(1, n + 1):
+        c.append(sum(factorial(i) * c[m - i] for i in range(1, m + 1)))
+    return 2 * c[n]
 
 
 def _eq6(n: int) -> int:
-    return sum(
-        compositions_sum(n - d, min_part=0, num_parts=d + 1) for d in range(n + 1)
-    )
+    # sum_m b_m x^m = F / (1 - x F), where F = sum_k k! x^k
+    b = []
+    for m in range(n + 1):
+        b.append(factorial(m) + sum(factorial(i) * b[m - 1 - i] for i in range(m)))
+    return b[n]
 
 
 def _eq7(n: int) -> int:

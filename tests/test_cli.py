@@ -536,7 +536,7 @@ class TestImports:
         "__version__", "all_orbits", "apply", "apply_to_pattern", "apply_to_set",
         "avoids", "BACKTRACK", "barring", "binomial", "canonical_representative",
         "CapExceededError", "catalan", "CensusRecord", "CensusTable",
-        "complement", "compositions_sum", "containment_mask", "contains", "count",
+        "complement", "containment_mask", "contains", "count",
         "count_backtrack", "count_mask", "count_naive", "CountResult",
         "counts_all_subsets", "DuplicateMagnitudeError", "EMPTY_SET",
         "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",

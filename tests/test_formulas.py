@@ -14,7 +14,6 @@ from signedperms import (
     binomial,
     canonical_representative,
     catalan,
-    compositions_sum,
     count_naive,
     entries_for,
     eval_formula,
@@ -64,34 +63,11 @@ class TestHelpers:
         with pytest.raises(ValueError):
             fibonacci(0)
 
-    def test_compositions_sum_open(self):
-        assert compositions_sum(0) == 1
-        assert compositions_sum(3) == 11
-        for n in range(8):
-            assert compositions_sum(n, 1) == brute_compositions(n, 1)
-            assert compositions_sum(n, 2) == brute_compositions(n, 2)
-
-    def test_compositions_sum_fixed_parts(self):
-        for n in range(7):
-            for d in range(5):
-                for lo in (0, 1, 2):
-                    assert compositions_sum(n, lo, d) == brute_compositions(n, lo, d)
-
-    def test_compositions_sum_errors(self):
-        with pytest.raises(ValueError):
-            compositions_sum(-1)
-        with pytest.raises(ValueError):
-            compositions_sum(3, 0)
-        with pytest.raises(ValueError):
-            compositions_sum(3, -1, 2)
-        with pytest.raises(ValueError):
-            compositions_sum(3, 1, -1)
-
 
 class TestEvaluators:
     def test_totality(self):
         for fid in FORMULA_IDS:
-            for n in range(4):
+            for n in range(101):
                 v = eval_formula(fid, n)
                 assert isinstance(v, int) and v >= 0
 
@@ -132,6 +108,10 @@ class TestEvaluators:
         tset = PatternSet.parse(NAMED_TRIPLES["T_1"])
         for n in range(5):
             assert eval_formula("EQ6", n) == count_naive(n, tset).value
+        for n in range(11):
+            assert eval_formula("EQ6", n) == sum(
+                brute_compositions(n - d, 0, d + 1) for d in range(n + 1)
+            )
 
     def test_eq8_rational_form(self):
         assert eval_formula("EQ8", 2) == 5
