@@ -14,6 +14,7 @@ re-derived counts, never trusted, before a census extends it.
 """
 
 import json
+import os
 import reprlib
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
@@ -218,9 +219,6 @@ class VerificationReport(NamedTuple):
     def mismatch_count(self) -> int:
         return sum(1 for c in self.checks if c.status == MISMATCH)
 
-    def ok(self) -> bool:
-        return self.mismatch_count == 0
-
 
 # Counts once claimed in the earlier literature for these two sets, kept
 # here as negative controls: the report demonstrates each is wrong at the
@@ -373,5 +371,17 @@ def load_cache(path: str | Path) -> CensusTable:
     return CensusTable(n_max, records, metadata)
 
 
+def _replace(path: Path, data: bytes) -> None:
+    # write a sibling of path's target, not of a symlink, and rename it over the
+    # target, so a write that fails partway leaves the old file whole
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_cache(table: CensusTable, path: str | Path) -> None:
-    Path(path).write_bytes(export(table, "json"))
+    _replace(Path(path), export(table, "json"))

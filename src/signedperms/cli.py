@@ -18,7 +18,8 @@ import warnings
 from pathlib import Path
 
 from .census import (
-    MISMATCH, UNCHECKED, VERIFIED, export, load_cache, run_census, verify_registry,
+    MISMATCH, UNCHECKED, VERIFIED, _replace, export, load_cache, run_census,
+    verify_registry,
 )
 from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
@@ -109,7 +110,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     data = export(table, args.format)
     # never replace a cache with a shorter table
     if cache_path and (cache is None or table.n_max >= cache.n_max):
-        cache_path.write_bytes(data if args.format == "json" else export(table, "json"))
+        _replace(cache_path, data if args.format == "json" else export(table, "json"))
     sys.stdout.write(data.decode())
     return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
 

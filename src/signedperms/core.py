@@ -89,10 +89,6 @@ class SignedPermutation(tuple):
 
     __slots__ = ()
 
-    @property
-    def order(self) -> int:
-        return len(self)
-
     def oneline(self) -> str:
         return " ".join(str(x) for x in self)
 
@@ -261,15 +257,9 @@ class PatternSet:
             mask |= bit
         return cls(mask)
 
-    def patterns(self) -> tuple[Pattern, ...]:
-        return tuple(self)
-
     def text(self) -> str:
         """Inverse of parse (up to whitespace): "1 2, -1 2"."""
         return ", ".join(str(p) for p in self)
-
-    def with_pattern(self, p: Pattern) -> "PatternSet":
-        return PatternSet(self.mask | (1 << p.index))
 
     def __or__(self, other: "PatternSet") -> "PatternSet":
         return PatternSet(self.mask | other.mask)

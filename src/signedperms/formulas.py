@@ -17,8 +17,8 @@ from .core import PatternSet, _check_order
 from .symmetry import canonical_representative
 
 __all__ = [
-    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "binomial", "catalan",
-    "entries_for", "eval_formula", "factorial", "fibonacci", "registry",
+    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "catalan", "entries_for",
+    "eval_formula", "fibonacci", "registry",
 ]
 
 
@@ -27,13 +27,10 @@ class UnknownFormulaError(ValueError):
 
 
 def catalan(m: int) -> int:
-    """Catalan number C_m, by the convolution C_m = sum C_j C_{m-1-j}."""
+    """Catalan number C_m = C(2m, m) / (m + 1)."""
     if m < 0:
         raise ValueError("catalan index must be nonnegative")
-    cats = [1]
-    for k in range(1, m + 1):
-        cats.append(sum(cats[j] * cats[k - 1 - j] for j in range(k)))
-    return cats[m]
+    return binomial(2 * m, m) // (m + 1)
 
 
 def fibonacci(m: int) -> int:
@@ -111,11 +108,8 @@ def _eq12(n: int) -> int:
 
 
 def _eq13(n: int) -> int:
-    return factorial(n) + sum(
-        factorial(p) * factorial(n - j - p)
-        for j in range(1, n + 1)
-        for p in range(n - j + 1)
-    )
+    # the inner sum over p + q = n - j is EQ13A at n - j
+    return factorial(n) + sum(_eq13a(m) for m in range(n))
 
 
 def _eq13a(n: int) -> int:
@@ -157,11 +151,7 @@ _EVALUATORS = {
     "TH4_6": ("b_n = sum_{j=0..n} j!", lambda n: sum(factorial(j) for j in range(n + 1))),
     # two disjoint cases, added: all letters barred (n! words), or exactly
     # one unbarred letter with larger magnitudes before it and smaller after
-    "TH4_7": (
-        "b_n = n! + sum_{j<n} j! (n-1-j)!",
-        lambda n: factorial(n)
-        + sum(factorial(j) * factorial(n - 1 - j) for j in range(n)),
-    ),
+    "TH4_7": ("b_n = n! + sum_{j<n} j! (n-1-j)!", lambda n: factorial(n) + _eq13a(n - 1)),
     "TH5_1": ("b_n = 0", lambda n: 0),
     "TH5_2": ("b_n = 3", lambda n: 3),
     "TH5_3": ("b_n = n + 1", lambda n: n + 1),

@@ -140,8 +140,7 @@ def orbit_of_set(tset: PatternSet) -> Orbit:
 
 def canonical_representative(tset: PatternSet) -> PatternSet:
     """The orbit member with the smallest mask."""
-    m = tset.mask
-    return PatternSet(min(img[m] for img in _group_images()))
+    return orbit_of_set(tset).representative
 
 
 @cache

@@ -1,11 +1,14 @@
 """Census records, formula verification, Wilf classes, serialization."""
 
 import copy
+import errno
 import json
+import os
 import pickle
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,7 +222,6 @@ class TestRunCensus:
 class TestVerifyRegistry:
     def test_clean(self):
         report = verify_registry(4)
-        assert report.ok()
         assert report.mismatch_count == 0
         assert len(report.checks) == 67
         for check in report.checks:
@@ -230,7 +232,7 @@ class TestVerifyRegistry:
         report = verify_registry(16)
         assert len(report.checks) == 67
         assert [c.entry.name for c in report.checks if c.mismatches] == []
-        assert report.ok()
+        assert report.mismatch_count == 0
 
     def test_empty_ranges_are_unchecked(self):
         report = verify_registry(2)
@@ -239,7 +241,7 @@ class TestVerifyRegistry:
             assert check.status == want, check.entry.name
         u4_1 = next(c for c in report.checks if c.entry.name == "U4_1")
         assert (u4_1.status, u4_1.first_n, u4_1.last_n) == ("unchecked", 3, 2)
-        assert report.ok()
+        assert report.mismatch_count == 0
 
     def test_superseded_claims_are_refuted(self):
         report = verify_registry(3)
@@ -527,6 +529,43 @@ class TestSerialization:
         )
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == export(run_census(1))
+
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_write_keeps_the_old_cache(self, step, tmp_path, monkeypatch, capsys):
+        # a write that fails partway, as under a file-size limit, leaves the
+        # cache's old bytes and no temporary file beside it
+        from signedperms import cli
+
+        path = tmp_path / "c.json"
+        write_cache(run_census(4), path)
+        old = path.read_bytes()
+
+        def fail(*args):
+            raise OSError(errno.EFBIG, "File too large")
+
+        def write_half(self, data):
+            with open(self, "wb") as f:
+                f.write(data[: len(data) // 2])
+            fail()
+
+        if step == "write":
+            monkeypatch.setattr(Path, "write_bytes", write_half)
+        else:
+            monkeypatch.setattr(os, "replace", fail)
+        assert cli.main(["census", "--n-max", "6", "--cache", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 27] File too large\n")
+        with pytest.raises(OSError, match="File too large"):
+            write_cache(run_census(6), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
+
+    def test_write_through_a_symlinked_cache(self, tmp_path):
+        target = tmp_path / "real.json"
+        write_cache(run_census(2), target)
+        (tmp_path / "link.json").symlink_to(target)
+        write_cache(run_census(3), tmp_path / "link.json")
+        assert (tmp_path / "link.json").is_symlink()
+        assert load_cache(target).n_max == 3
 
     def test_file_cache_extension(self, tmp_path):
         path = tmp_path / "cache.json"

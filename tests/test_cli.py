@@ -534,13 +534,13 @@ class TestClosedStdout:
 class TestImports:
     API = {
         "__version__", "all_orbits", "apply", "apply_to_pattern", "apply_to_set",
-        "avoids", "BACKTRACK", "barring", "binomial", "canonical_representative",
+        "avoids", "BACKTRACK", "barring", "canonical_representative",
         "CapExceededError", "catalan", "CensusRecord", "CensusTable",
         "complement", "containment_mask", "contains", "count",
         "count_backtrack", "count_mask", "count_naive", "CountResult",
         "counts_all_subsets", "DuplicateMagnitudeError", "EMPTY_SET",
         "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
-        "factorial", "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
+        "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
         "IDENTITY", "iterate_Bn", "load_cache", "MagnitudeOutOfRangeError", "MASK",
         "mask_histogram", "METHODS", "NAIVE", "Orbit",
         "orbit_census_by_size", "orbit_of_set", "pair_index", "pair_pattern", "Pattern",

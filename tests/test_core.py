@@ -65,7 +65,6 @@ class TestValidation:
 
     def test_order_and_oneline(self):
         w = validate_permutation([2, -1, -3])
-        assert w.order == 3
         assert w.oneline() == "2 -1 -3"
         assert repr(w) == "SignedPermutation([2, -1, -3])"
 
@@ -159,14 +158,12 @@ class TestPatternSet:
         assert PATTERNS[1] in ps
         assert PATTERNS[4] not in ps
         assert [p.index for p in ps] == [0, 1, 7]
-        assert ps.patterns() == tuple(ps)
 
     def test_operators(self):
         a = PatternSet.parse("1 2")
         b = PatternSet.parse("2 1")
         assert (a | b).mask == 0b11
         assert (a & b) == EMPTY_SET
-        assert a.with_pattern(PATTERNS[1]) == (a | b)
         assert len(FULL_SET) == 8
 
     def test_mask_bounds(self):
