@@ -3,8 +3,8 @@
 One call enumerates b_0..b_6 for all 58 orbits, checks each registered
 closed form on its claimed range, and groups orbits with identical
 sequences into Wilf classes.  The table is written to census6.json next to
-this script; the CLI's --cache flag extends such a file in place, after
-checking every cached count against a fresh count.
+this script; the CLI's --cache flag replaces such a file, the only file
+it leaves behind, after checking every cached count against a fresh count.
 """
 
 from pathlib import Path

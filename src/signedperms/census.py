@@ -16,7 +16,6 @@ re-derived counts, never trusted, before a census extends it.
 import json
 import os
 import reprlib
-from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import NamedTuple
 
@@ -126,8 +125,9 @@ def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
     memory budget admits n_max up to 33.  Each orbit's sequence is read
     from its representative and checked against every member.  A cache is
     never trusted: SchemaError is raised unless it is from this version (if
-    it says), holds one record per orbit, in orbit order, with its id and
-    members, and equals the recount at every cached order up to n_max.
+    it says), holds one record per orbit, in orbit order, with its id,
+    members and cache.n_max + 1 counts, and equals the recount at every
+    cached order up to n_max.
     """
     per_order = transfer_all_orders(n_max, range(256))
     by_rep: dict[int, list[EntryCheck]] = {}
@@ -180,6 +180,8 @@ def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
                 "that orbit's id, representative and members"
             )
         for rec, fresh in zip(cache.records, records):
+            _require(len(rec.sequence) == cache.n_max + 1,
+                     f"cache orbit {rec.orbit_id} does not hold n_max + 1 counts")
             for n in range(min(cache.n_max, n_max) + 1):
                 got, want = rec.sequence[n], fresh.sequence[n]
                 if got != want:
@@ -258,39 +260,20 @@ def verify_registry(n_max: int) -> VerificationReport:
     return VerificationReport(n_max, checks, tuple(superseded))
 
 
-def _json(obj, pad: str = "") -> str:
-    # the text of json.dumps(obj, indent=2) with every line after the first
-    # indented by pad more, a PatternSet as its list of [first, second]
-    # letters: with an indent, json.dumps runs its slow pure-Python encoder
-    if type(obj) is int:  # as json.dumps writes it, and much faster
-        return str(obj)
-    if isinstance(obj, str):
-        return _str(obj)
-    inner = pad + "  "
-    if isinstance(obj, PatternSet):
-        obj = [p.letters for p in obj]
-    if isinstance(obj, dict):
-        # a key that is not a str as json.dumps writes it, or json.dumps's TypeError
-        items = [f"{_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]}: "
-                 f"{_json(v, inner)}" for k, v in obj.items()]
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}" if items else "{}"
-    if isinstance(obj, (list, tuple)):
-        items = [_json(v, inner) for v in obj]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]" if items else "[]"
-    return json.dumps(obj)
-
-
 def export(table: CensusTable, format: str = "json") -> bytes:
     """Serialize a census deterministically, as JSON or CSV."""
     if format == "json":
         records = []
         for rec in table.records:
             fields = rec._asdict()
+            fields["representative"] = [p.letters for p in rec.representative]
+            fields["members"] = [[p.letters for p in m] for m in rec.members]
             fields["sequence"] = [str(v) for v in rec.sequence]
             if not rec.verification_details:
                 del fields["verification_details"]
             records.append(fields)
-        return (_json(dict(table._asdict(), records=records)) + "\n").encode()
+        doc = dict(table._asdict(), records=records)
+        return (json.dumps(doc, indent=2) + "\n").encode()
     if format == "csv":
         import csv
         import io

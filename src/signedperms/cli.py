@@ -1,12 +1,12 @@
 """Command line interface.
 
 Subcommands: count, sequence, orbits, census, verify.  Each writes its
-output to stdout; census's --cache file is the only file written.  Output
-is byte identical across runs for the same inputs; the whole subcommand's
-elapsed time goes to stderr, and only under --timing.  Exit codes: 0
-success, 1 verification found a mismatch, 2 usage or input error, 141
-(128 + SIGPIPE) with nothing on stderr when stdout is closed before the
-output is written.
+output to stdout; census replaces its --cache file, the only file left
+behind.  Output is byte identical across runs for the same inputs; the
+whole subcommand's elapsed time goes to stderr, and only under --timing.
+Exit codes: 0 success, 1 verification found a mismatch, 2 usage or input
+error, 141 (128 + SIGPIPE) with nothing on stderr when stdout is closed
+before the output is written.
 """
 
 import argparse
@@ -213,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen.add_argument("--n-max", type=int, required=True,
                        help="last order to count every orbit at")
     p_cen.add_argument("--cache", default=None,
-                       help="JSON census to check against the recount and update "
-                            "in place; the only file written, output goes to stdout")
+                       help="JSON census to check against the recount and replace; "
+                            "the only file left behind, output goes to stdout")
     common(p_cen, ("json", "csv"))
     p_cen.set_defaults(func=_cmd_census)
 

@@ -294,8 +294,7 @@ def counts_all_subsets(n: int, workers: int = 1) -> dict[PatternSet, int]:
 
 def count_mask(n: int, tset: PatternSet) -> CountResult:
     """Count avoiders of one set: the histogram buckets disjoint from it."""
-    value = sum(c for m, c in mask_histogram(n).items() if not m & tset.mask)
-    return CountResult(n, tset, value, MASK)
+    return CountResult(n, tset, counts_all_subsets(n)[tset], MASK)
 
 
 _ORACLES = {NAIVE: count_naive, BACKTRACK: count_backtrack, MASK: count_mask}

@@ -209,6 +209,16 @@ class TestRunCensus:
         with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
             run_census(4, cache=cache)
 
+    def test_cache_with_short_sequences(self):
+        # n_max claims more counts than the records hold: refused whether or
+        # not the recount reaches past the last one they hold
+        short = run_census(4)._replace(n_max=6)
+        for n in (8, 4):
+            with pytest.raises(SchemaError, match="orbit 0 does not hold n_max"):
+                run_census(n, cache=short)
+        with pytest.raises(SchemaError, match="orbit 0 does not hold n_max"):
+            run_census(4, cache=run_census(6)._replace(n_max=4))
+
     def test_cache_from_another_version(self):
         cache = run_census(3)
         cache.metadata["version"] = "0.0.0"
@@ -364,6 +374,16 @@ class TestSerialization:
         for n in (0, 8):
             fresh = run_census(n)
             assert export(fresh) == self.reference_json(fresh)
+
+    @pytest.mark.parametrize("value", [{1, 2}, PatternSet.parse("1 2, -2 1")],
+                             ids=["set", "PatternSet"])
+    def test_export_refuses_what_json_dumps_refuses(self, table5, value):
+        # metadata is written as json.dumps writes it, with no hook for other types
+        table = table5._replace(metadata={"version": "0.1.0", "odd": [value]})
+        with pytest.raises(TypeError) as dumps_error:
+            json.dumps(table.metadata)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(dumps_error.value))}$"):
+            export(table)
 
     def test_pickle_and_deepcopy(self, table5):
         for obj in (PatternSet(5), table5.records[5], table5):
