@@ -50,7 +50,7 @@ def main() -> None:
     print("orbits by set size (256 sets -> 58 orbits):")
     census = orbit_census_by_size()
     for size, orbits in census.items():
-        sets = sum(o.size for o in all_orbits() if len(o.representative) == size)
+        sets = sum(len(o.members) for o in all_orbits() if len(o.representative) == size)
         print(f"  {size} patterns: {orbits:2d} orbits covering {sets:2d} sets")
     print(f"  total: {sum(census.values())} orbits")
     print()

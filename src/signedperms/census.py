@@ -76,8 +76,6 @@ class EntryCheck(NamedTuple):
     """Outcome of checking one registry entry against enumeration."""
 
     entry: RegistryEntry
-    first_n: int
-    last_n: int
     status: str
     mismatches: tuple[str, ...]
     holds_below: tuple[int, ...]
@@ -107,8 +105,6 @@ def _check_registry(per_order: list[list[int]]) -> tuple[EntryCheck, ...]:
         checks.append(
             EntryCheck(
                 entry=entry,
-                first_n=entry.min_n,
-                last_n=n_max,
                 status=MISMATCH if mismatches
                 else VERIFIED if entry.min_n <= n_max else UNCHECKED,
                 mismatches=tuple(mismatches),

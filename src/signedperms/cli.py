@@ -79,7 +79,7 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
         size = len(orb.representative)
         if args.size is not None and size != args.size:
             continue
-        rows.append((orbit_id, size, orb.size, orb.representative.text()))
+        rows.append((orbit_id, size, len(orb.members), orb.representative.text()))
     if args.format == "json":
         doc = [
             {
@@ -128,8 +128,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "name": c.entry.name,
                     "patterns": c.entry.patterns.text(),
                     "formula": c.entry.formula,
-                    "first_n": c.first_n,
-                    "last_n": c.last_n,
+                    "first_n": c.entry.min_n,
+                    "last_n": report.n_max,
                     "status": c.status,
                     "mismatches": list(c.mismatches),
                     "also_holds_at": list(c.holds_below),
@@ -153,7 +153,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for c in report.checks:
             line = (
                 f"{_VERDICTS[c.status]} "
-                f"{c.entry.name} [{c.entry.formula}] n={c.first_n}..{c.last_n}"
+                f"{c.entry.name} [{c.entry.formula}] n={c.entry.min_n}..{report.n_max}"
             )
             if c.mismatches:
                 line += " | " + "; ".join(c.mismatches)

@@ -99,13 +99,15 @@ class SignedPermutation(tuple):
 def validate_permutation(raw: Sequence[int]) -> SignedPermutation:
     """Check that raw encodes a signed permutation and wrap it.
 
-    Raises ZeroLetterError, DuplicateMagnitudeError, or
-    MagnitudeOutOfRangeError as appropriate.
+    Raises TypeError for a letter that is not an int, and ZeroLetterError,
+    DuplicateMagnitudeError, or MagnitudeOutOfRangeError as appropriate.
     """
     letters = tuple(raw)
     n = len(letters)
     seen = 0
     for x in letters:
+        if type(x) is not int:  # a bool or a float compares equal to an int
+            raise TypeError(f"letter must be an int, got {x!r}")
         if x == 0:
             raise ZeroLetterError("letter 0 names no symbol")
         m = abs(x)

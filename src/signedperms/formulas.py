@@ -28,15 +28,15 @@ class UnknownFormulaError(ValueError):
 
 def catalan(m: int) -> int:
     """Catalan number C_m = C(2m, m) / (m + 1)."""
-    if m < 0:
-        raise ValueError("catalan index must be nonnegative")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"catalan index must be a nonnegative int, got {m!r}")
     return binomial(2 * m, m) // (m + 1)
 
 
 def fibonacci(m: int) -> int:
     """Fibonacci number F_m with F_1 = F_2 = 1."""
-    if m < 1:
-        raise ValueError("fibonacci index starts at 1")
+    if type(m) is not int or m < 1:
+        raise ValueError(f"fibonacci index must be an int from 1, got {m!r}")
     a, b = 1, 1
     for _ in range(m - 1):
         a, b = b, a + b

@@ -122,19 +122,10 @@ class Orbit(NamedTuple):
     representative: PatternSet
     members: frozenset[PatternSet]
 
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-@cache
-def _group_images() -> tuple[tuple[int, ...], ...]:
-    return tuple(_set_images(g) for g in group_elements())
-
 
 def orbit_of_set(tset: PatternSet) -> Orbit:
     m = tset.mask
-    images = {img[m] for img in _group_images()}
+    images = {_set_images(g)[m] for g in group_elements()}
     return Orbit(PatternSet(min(images)), frozenset(map(PatternSet, images)))
 
 

@@ -121,7 +121,7 @@ def test_criterion_4_orbit_reduction():
         assert census[6] == 8
         assert census[7] + census[8] == 3
         assert len(all_orbits()) == 58
-        assert sum(orb.size for orb in all_orbits()) == 256
+        assert sum(len(orb.members) for orb in all_orbits()) == 256
 
 
 def test_criterion_5_named_sequences():

@@ -442,8 +442,13 @@ class TestVerify:
         assert "SKIP U4_1 [TH4_4] n=3..2" in lines
         assert not any(l.startswith("FAIL") for l in lines)
         code, out, _ = run(capsys, "verify", "--n-max", "2", "--format", "json")
-        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        doc = json.loads(out)["checks"]
+        checks = {c["name"]: c for c in doc}
         assert (code, checks["U4_1"]["status"]) == (0, "unchecked")
+        # an empty range still reports its entry's first order and the run's last
+        assert [(c["name"], c["first_n"], c["last_n"]) for c in doc] == [
+            (entry.name, entry.min_n, 2) for entry in formulas.registry()
+        ]
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
         claim = formulas._EVALUATORS["EQ12"][0]

@@ -47,6 +47,12 @@ class TestValidation:
         assert validate_permutation([-1]) == (-1,)
         assert isinstance(validate_permutation([1, 2]), SignedPermutation)
 
+    @pytest.mark.parametrize("raw", [[True], [1, 2.0], ["1"]])
+    def test_letter_not_an_int(self, raw):
+        # a bool or a float compares equal to an int, and a str has no abs()
+        with pytest.raises(TypeError, match="letter must be an int"):
+            validate_permutation(raw)
+
     def test_zero_letter(self):
         with pytest.raises(ZeroLetterError):
             validate_permutation([0, 1])

@@ -50,11 +50,15 @@ class TestHelpers:
             assert catalan(m) == sum(catalan(j) * catalan(m - 1 - j) for j in range(m))
         with pytest.raises(ValueError):
             catalan(-1)
+        with pytest.raises(ValueError):
+            catalan(True)  # a bool is not an index, though it equals 1
 
     def test_fibonacci(self):
         assert [fibonacci(m) for m in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
         with pytest.raises(ValueError):
             fibonacci(0)
+        with pytest.raises(ValueError):
+            fibonacci(True)  # a bool is not an index, though it equals 1
 
 
 class TestEvaluators:

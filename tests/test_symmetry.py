@@ -182,11 +182,11 @@ class TestOrbits:
         }
         assert orb.members == frozenset(expected)
         assert orb.representative == PatternSet.parse("1 2")
-        assert orb.size == 4
+        assert len(orb.members) == 4
 
     def test_fixed_points(self):
-        assert orbit_of_set(PatternSet(0)).size == 1
-        assert orbit_of_set(PatternSet(255)).size == 1
+        assert len(orbit_of_set(PatternSet(0)).members) == 1
+        assert len(orbit_of_set(PatternSet(255)).members) == 1
 
     def test_canonical_representative(self):
         assert canonical_representative(PatternSet.parse("2 1")) == PatternSet.parse("1 2")
@@ -202,7 +202,7 @@ class TestOrbits:
         covered = [m.mask for o in orbits for m in o.members]
         assert sorted(covered) == list(range(256))
         for o in orbits:
-            assert 8 % o.size == 0
+            assert 8 % len(o.members) == 0
 
     def test_orbit_ids_sorted(self):
         orbits = all_orbits()
