@@ -3,8 +3,9 @@
 One call enumerates b_0..b_6 for all 58 orbits, checks each registered
 closed form on its claimed range, and groups orbits with identical
 sequences into Wilf classes.  The table is written to census6.json next to
-this script; the CLI's --cache flag replaces such a file, the only file
-it leaves behind, after checking every cached count against a fresh count.
+this script, as the CLI's --cache flag writes it: such a file is valid only
+if it is, byte for byte, the census of its own counts, and load_cache
+refuses any other.
 """
 
 from pathlib import Path

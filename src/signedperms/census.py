@@ -6,22 +6,23 @@ range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
 guarded by its memory budget, not by the oracles' work budget, and their
-formula checks from one loop, _check_registry.  Tables round-trip through
-JSON: export writes the fields of CensusTable and CensusRecord, and
-load_cache reads each field back as CensusRecord declares it, raising
-SchemaError for any malformed one.  A cached table is checked against
-re-derived counts, never trusted, before a census extends it.
+formula checks from one loop, _check_registry.  export writes a table as
+JSON or CSV.  A census file is valid only if its bytes are export of the
+census at its own n_max, built from a recount's counts and from the file's
+own counts above them: _check_cache applies this one rule for load_cache
+and census --cache, and raises SchemaError for any other file.
 """
 
 import json
 import os
+import re
 import reprlib
 from pathlib import Path
 from typing import NamedTuple
 
 from . import __version__
 from .core import PatternSet
-from .enumeration import transfer_all_orders
+from .enumeration import _check_budget, transfer_all_orders
 from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
 
@@ -114,18 +115,18 @@ def _check_registry(per_order: list[list[int]]) -> tuple[EntryCheck, ...]:
     return tuple(checks)
 
 
-def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
+def run_census(n_max: int) -> CensusTable:
     """Count, verify, and classify all orbits up to order n_max.
 
     All orders come from one transfer-engine pass over the 256 sets, whose
-    memory budget admits n_max up to 33.  Each orbit's sequence is read
-    from its representative and checked against every member.  A cache is
-    never trusted: SchemaError is raised unless it is from this version (if
-    it says), holds one record per orbit, in orbit order, with its id,
-    members and cache.n_max + 1 counts, and equals the recount at every
-    cached order up to n_max.
+    memory budget admits n_max up to 33.
     """
-    per_order = transfer_all_orders(n_max, range(256))
+    return _census(transfer_all_orders(n_max, range(256)))
+
+
+def _census(per_order: list[list[int]]) -> CensusTable:
+    # the record builder: each orbit's sequence is read from its
+    # representative's counts, per_order[n][mask], and checked against its members'
     by_rep: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(per_order):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
@@ -164,30 +165,7 @@ def run_census(n_max: int, cache: CensusTable | None = None) -> CensusTable:
                 verification_details=details,
             )
         )
-
-    if cache is not None:
-        version = cache.metadata.get("version", __version__)
-        if version != __version__:
-            raise SchemaError(f"cache is from version {version}, not {__version__}")
-        identity = [(r.orbit_id, r.representative, r.members) for r in records]
-        if [(r.orbit_id, r.representative, r.members) for r in cache.records] != identity:
-            raise SchemaError(
-                "cache does not hold one record per orbit, in orbit order, with "
-                "that orbit's id, representative and members"
-            )
-        for rec, fresh in zip(cache.records, records):
-            _require(len(rec.sequence) == cache.n_max + 1,
-                     f"cache orbit {rec.orbit_id} does not hold n_max + 1 counts")
-            for n in range(min(cache.n_max, n_max) + 1):
-                got, want = rec.sequence[n], fresh.sequence[n]
-                if got != want:
-                    raise SchemaError(
-                        f"cache disagrees with enumeration for orbit {rec.orbit_id} "
-                        f"{{{rec.representative.text()}}} at order {n}: cached {got}, "
-                        f"enumerated {want}"
-                    )
-
-    return CensusTable(n_max, records, {"version": __version__})
+    return CensusTable(len(per_order) - 1, records, {"version": __version__})
 
 
 def wilf_classes(table: CensusTable) -> tuple[tuple[int, ...], ...]:
@@ -222,8 +200,8 @@ class VerificationReport(NamedTuple):
 # here as negative controls: the report demonstrates each is wrong at the
 # given order.
 _SUPERSEDED = (
-    ("1 2, 2 1", "2 n!", lambda n: 2 * eval_formula("TH6_3", n), 2),
-    ("1 -2, -1 2", "(n+1)!", lambda n: eval_formula("EQ2", n), 3),
+    (PatternSet.parse("1 2, 2 1"), "2 n!", lambda n: 2 * eval_formula("TH6_3", n), 2),
+    (PatternSet.parse("1 -2, -1 2"), "(n+1)!", lambda n: eval_formula("EQ2", n), 3),
 )
 
 
@@ -236,24 +214,12 @@ def verify_registry(n_max: int) -> VerificationReport:
     with enumeration at their witness orders.
     """
     per_order = transfer_all_orders(n_max, range(256))
-    checks = _check_registry(per_order)
-
-    superseded = []
-    for text, description, value_fn, witness_n in _SUPERSEDED:
-        if witness_n > n_max:
-            continue
-        ps = PatternSet.parse(text)
-        superseded.append(
-            SupersededClaim(
-                patterns=ps,
-                description=description,
-                n=witness_n,
-                claimed=value_fn(witness_n),
-                enumerated=per_order[witness_n][ps.mask],
-            )
-        )
-
-    return VerificationReport(n_max, checks, tuple(superseded))
+    superseded = tuple(
+        SupersededClaim(ps, description, n, value_fn(n), per_order[n][ps.mask])
+        for ps, description, value_fn, n in _SUPERSEDED
+        if n <= n_max
+    )
+    return VerificationReport(n_max, _check_registry(per_order), superseded)
 
 
 def export(table: CensusTable, format: str = "json") -> bytes:
@@ -292,75 +258,63 @@ def export(table: CensusTable, format: str = "json") -> bytes:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise SchemaError(message)
+def _count(text) -> int:
+    # a count as export writes it: decimal digits (ValueError past int()'s limit)
+    if type(text) is not str or not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{reprlib.repr(text)} is not a count")
+    return int(text)
 
 
-def _read(value, kind, key: str):
-    # a parsed JSON value as the type kind that CensusRecord declares for
-    # field key: the inverse of export, which writes counts as digit strings
+def _first_difference(got: bytes, want: bytes) -> str:
+    # the first line where got parts from want, and the field it is in; commas
+    # at line ends are dropped, since a field added after a line adds one there
+    ours, theirs = ((text.replace(b",\n", b"\n") + b"\nend of file").split(b"\n")
+                    for text in (got, want))
+    i = len(os.path.commonprefix([ours, theirs]))
+    keys = (re.match(rb'\s*"(\w+)": ', line) for line in reversed(ours[: i + 1]))
+    key = next((m[1].decode() for m in keys if m), "")
+    line = ours[i][:99].decode(errors="replace")
+    return f"line {i + 1} ({key}) is {line!r}, not {theirs[i].decode()!r}"
+
+
+def _check_cache(data: bytes, recount: CensusTable | None = None) -> CensusTable:
+    # the one rule for a census file: data must be, byte for byte, export of
+    # the census at its own n_max, built from recount's counts at its orders
+    # and from data's own counts above them; that census is returned
     try:
-        if kind in (int, str):
-            if type(value) is not kind:  # a bool or a float compares equal to an int
-                raise TypeError(f"not {kind.__name__}")
-            return value
-        if type(value) is not list:
-            raise TypeError("not a list")
-        if kind is PatternSet:  # a list of [first, second] letters
-            if any(type(x) is not int for p in value for x in p):
-                raise TypeError("letters must be ints")
-            return PatternSet.from_patterns(map(tuple, value))
-        if kind == tuple[int, ...]:
-            if not all(type(s) is str and s.isascii() and s.isdigit() for s in value):
-                raise ValueError("counts must be decimal digit strings")
-            return tuple(map(int, value))
-    except (TypeError, ValueError) as exc:  # int()'s digit limit among them
-        raise SchemaError(f"bad {key} {reprlib.repr(value)}: {exc}") from None
-    # any other kind is tuple[X, ...], whose items are read as X
-    return tuple(_read(v, kind.__args__[0], key) for v in value)
+        doc = json.loads(data)  # JSON is UTF-8 in any locale
+        n_max, records = doc["n_max"], doc["records"]
+        _check_budget(n_max, 256)  # a deep order is refused before any formula runs
+    except (ValueError, LookupError, TypeError) as exc:
+        raise SchemaError(f"cache needs JSON records and a valid n_max: {exc}") from None
+    counted = -1 if recount is None else min(recount.n_max, n_max)
+    try:
+        rows = [[rec.sequence[n] for rec in recount.records] for n in range(counted + 1)]
+        rows += [[_count(rec["sequence"][n]) for rec in records]
+                 for n in range(counted + 1, n_max + 1)]
+        orbit = {m.mask: i for i, orb in enumerate(all_orbits()) for m in orb.members}
+        per_order = [[row[orbit[mask]] for mask in range(256)] for row in rows]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise SchemaError(f"cache needs n_max + 1 counts per sequence: {exc}") from None
+    want = export(table := _census(per_order))
+    if data != want:
+        raise SchemaError(f"cache is not the census of its own counts: "
+                          f"{_first_difference(data, want)}")
+    return table
 
 
 def load_cache(path: str | Path) -> CensusTable:
-    """Load a JSON census written by export, validating its structure."""
-    try:
-        doc = json.loads(Path(path).read_bytes())  # JSON is UTF-8 in any locale
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "top level must be an object")
-    _require("n_max" in doc and "records" in doc, "top level needs n_max and records")
-    n_max = doc["n_max"]
-    _require(type(n_max) is int and n_max >= 0, "n_max must be a nonnegative int")
-    raw_records = doc["records"]
-    _require(isinstance(raw_records, list), "records must be a list")
-    kinds = CensusRecord.__annotations__
-    records = []
-    for raw in raw_records:
-        _require(isinstance(raw, dict), "each record must be an object")
-        missing = [k for k in kinds if k not in raw and k not in CensusRecord._field_defaults]
-        _require(not missing, f"record missing keys {missing}")
-        rec = CensusRecord(**{k: _read(raw[k], kinds[k], k) for k in kinds if k in raw})
-        _require(len(rec.sequence) == n_max + 1,
-                 f"sequence must list exactly n_max + 1 counts, not {len(rec.sequence)}")
-        _require(rec.verification in (VERIFIED, MISMATCH, UNCHECKED, ENUMERATION_ONLY),
-                 f"unknown verification value {rec.verification!r}")
-        records.append(rec)
-    metadata = doc.get("metadata", {})
-    _require(isinstance(metadata, dict), "metadata must be an object")
-    return CensusTable(n_max, records, metadata)
-
-
-def _replace(path: Path, data: bytes) -> None:
-    # write a sibling of path's target, not of a symlink, and rename it over the
-    # target, so a write that fails partway leaves the old file whole
-    path = path.resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Read a census file: SchemaError unless it is export of its own census."""
+    return _check_cache(Path(path).read_bytes())
 
 
 def write_cache(table: CensusTable, path: str | Path) -> None:
-    _replace(Path(path), export(table, "json"))
+    # write a sibling of path's target, not of a symlink, and rename it over the
+    # target, so a write that fails partway leaves the old file whole
+    path = Path(path).resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(export(table))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

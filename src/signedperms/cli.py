@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: count, sequence, orbits, census, verify.  Each writes its
-output to stdout; census replaces its --cache file, the only file left
-behind.  Output is byte identical across runs for the same inputs; the
+output to stdout; census keeps a --cache file, the only file left behind,
+which must be the census of its own counts, and replaces it only with a
+deeper census.  Output is byte identical across runs for the same inputs; the
 whole subcommand's elapsed time goes to stderr, and only under --timing.
 Exit codes: 0 success, 1 verification found a mismatch, 2 usage or input
 error, 141 (128 + SIGPIPE) with nothing on stderr when stdout is closed
@@ -18,8 +19,8 @@ import warnings
 from pathlib import Path
 
 from .census import (
-    MISMATCH, UNCHECKED, VERIFIED, _replace, export, load_cache, run_census,
-    verify_registry,
+    MISMATCH, UNCHECKED, VERIFIED, _check_cache, export, run_census, verify_registry,
+    write_cache,
 )
 from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
@@ -102,15 +103,16 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    cache = None
-    cache_path = Path(args.cache) if args.cache else None
-    if cache_path and cache_path.exists():
-        cache = load_cache(cache_path)
-    table = run_census(args.n_max, cache=cache)
+    table = run_census(args.n_max)
     data = export(table, args.format)
-    # never replace a cache with a shorter table
-    if cache_path and (cache is None or table.n_max >= cache.n_max):
-        _replace(cache_path, data if args.format == "json" else export(table, "json"))
+    if args.cache:
+        path = Path(args.cache)
+        fresh = data if args.format == "json" else export(table, "json")
+        old = path.read_bytes() if path.exists() else None
+        # an up-to-date cache is kept as it is; any other must be the census
+        # of its own counts (or SchemaError), and only a deeper census replaces it
+        if old != fresh and (old is None or _check_cache(old, table).n_max < table.n_max):
+            write_cache(table, path)
     sys.stdout.write(data.decode())
     return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
 

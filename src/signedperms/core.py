@@ -170,10 +170,13 @@ def pair_pattern(x: int, y: int) -> Pattern:
 
 def pattern_of(letters: Sequence[int]) -> Pattern:
     """Look up the pattern with exactly these letters (magnitudes {1, 2})."""
-    p = _PATTERN_BY_LETTERS.get(tuple(letters))
+    letters = tuple(letters)
+    if any(type(x) is not int for x in letters):  # a bool or a float equals an int
+        raise TypeError(f"letters must be ints, got {letters!r}")
+    p = _PATTERN_BY_LETTERS.get(letters)
     if p is None:
         raise ValueError(
-            f"{tuple(letters)} is not a pattern; magnitudes must be exactly 1 and 2"
+            f"{letters} is not a pattern; magnitudes must be exactly 1 and 2"
         )
     return p
 

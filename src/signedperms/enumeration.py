@@ -143,6 +143,29 @@ def _halves(k: int) -> list[tuple[int, int, int]]:
 _BUDGET_BYTES = 2**31
 
 
+def _check_budget(n_max: int, sets: int) -> None:
+    # ValueError for a bad order, and CapExceededError, at once, for an order
+    # whose estimated memory for a pass over this many sets is over budget.
+    # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
+    # and per reached state an int of fields of about log2(2^n_max n_max!)
+    # bits (lgamma, not factorial, answers any order at once) and 64 bytes, a
+    # term that keeps the estimate 1.3-1.5x over measured peak RSS growth.
+    # Layer k has H(k) = 1 + (k + 1)(k + 2)/2 halves: layers n - 1 and n hold
+    # the most slots, and from order 11 on the full layers n - 5 and n - 4 the
+    # most states, so order 11 bounds smaller orders.  Past order 2^20 the
+    # estimate only grows, far over any budget; there its floats stay finite.
+    _check_order(n_max)
+    n = min(max(n_max, 11), 1 << 20)
+    h5, h4, h1, h0 = (1 + (k + 1) * (k + 2) // 2 for k in (n - 5, n - 4, n - 1, n))
+    bits = n + math.lgamma(n + 1) / math.log(2)
+    estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (sets * bits / 8 + 64)
+    if estimate > _BUDGET_BYTES:
+        raise CapExceededError(
+            f"order {n_max} on {sets} set(s) needs an estimated "
+            f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
+        )
+
+
 def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     """Avoider counts of the listed sets at orders 0..n_max.
 
@@ -177,27 +200,10 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     dropped by one AND with a mask of all-ones fields per run of moves
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
-    _check_order(n_max)
+    _check_budget(n_max, len(masks))
     for t in masks:
         if type(t) is not int or not 0 <= t < 256:
             raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
-    # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
-    # and per reached state an int of fields of about log2(2^n_max n_max!)
-    # bits (lgamma, not factorial, answers any order at once) and 64 bytes, a
-    # term that keeps the estimate 1.3-1.5x over measured peak RSS growth.
-    # Layer k has H(k) = 1 + (k + 1)(k + 2)/2 halves: layers n - 1 and n hold
-    # the most slots, and from order 11 on the full layers n - 5 and n - 4 the
-    # most states, so order 11 bounds smaller orders.  Past order 2^20 the
-    # estimate only grows, far over any budget; there its floats stay finite.
-    n = min(max(n_max, 11), 1 << 20)
-    h5, h4, h1, h0 = (1 + (k + 1) * (k + 2) // 2 for k in (n - 5, n - 4, n - 1, n))
-    bits = n + math.lgamma(n + 1) / math.log(2)
-    estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (len(masks) * bits / 8 + 64)
-    if estimate > _BUDGET_BYTES:
-        raise CapExceededError(
-            f"order {n_max} on {len(masks)} set(s) needs an estimated "
-            f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
-        )
     width = ((1 << n_max) * math.factorial(n_max)).bit_length()
     field = (1 << width) - 1
     units = [1 << width * i for i in range(len(masks))]

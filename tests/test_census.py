@@ -24,7 +24,7 @@ from signedperms import (
     wilf_classes,
     write_cache,
 )
-from signedperms import census, formulas
+from signedperms import census, cli, formulas
 from conftest import NAMED_TRIPLES, fresh_env
 
 
@@ -149,21 +149,31 @@ class TestRunCensus:
         assert t2.sequence[4] == 42 and t9.sequence[4] == 48
         assert t2.wilf_class != t9.wilf_class
 
-    def test_cache_reuse(self, table5):
-        fresh = run_census(5, cache=run_census(3))
-        assert fresh.records == table5.records
-        # shrinking below the cache also works
-        small = run_census(2, cache=table5)
-        assert small.n_max == 2
-        assert [r.sequence for r in small.records] == [
-            r.sequence[:3] for r in table5.records
-        ]
+    # The cache rule, census._check_cache: a file is valid only if its bytes
+    # are export of the census at its own n_max, built from the recount's
+    # counts and from the file's own counts above them.  Each test below
+    # edits a census and checks that the edit is refused.
+
+    def test_cache_reuse(self, table5, tmp_path, capsys):
+        # a deeper recount checks every cached order; a shallower one checks
+        # the orders it counted and rebuilds the rest from the file's counts
+        assert census._check_cache(export(run_census(3)), table5) == run_census(3)
+        assert census._check_cache(export(table5), run_census(2)) == table5
+        path = tmp_path / "c.json"
+        write_cache(run_census(3), path)
+        assert cli.main(["census", "--n-max", "5", "--cache", str(path)]) == 0
+        assert path.read_bytes() == export(table5) == capsys.readouterr().out.encode()
+        # shrinking below the cache also works, and keeps the cache
+        assert cli.main(["census", "--n-max", "2", "--cache", str(path)]) == 0
+        assert capsys.readouterr().out.encode() == export(run_census(2))
+        assert path.read_bytes() == export(table5)
 
     def test_cache_with_wrong_orbits(self, table5):
         broken = run_census(2)
         broken = broken._replace(records=broken.records[:-1])
-        with pytest.raises(SchemaError):
-            run_census(3, cache=broken)
+        for recount in (None, run_census(1), run_census(3)):
+            with pytest.raises(SchemaError):
+                census._check_cache(export(broken), recount)
 
     def test_cache_with_tampered_count(self, table5):
         tampered = run_census(5)
@@ -171,10 +181,13 @@ class TestRunCensus:
         seq = list(rec.sequence)
         seq[4] += 1
         tampered.records[5] = rec._replace(sequence=tuple(seq))
-        with pytest.raises(SchemaError, match="orbit 5 .* at order 4"):
-            run_census(6, cache=tampered)
-        # only the orders the new table reuses are compared
-        assert run_census(3, cache=tampered).records == run_census(3).records
+        with pytest.raises(SchemaError, match=r"line \d+ \(sequence\)"):
+            census._check_cache(export(tampered), run_census(6))
+        # a recount that stops below the edit rebuilds the census at order 5
+        # from the file's counts, and the edited count fails its formula there
+        for recount in (None, run_census(3)):
+            with pytest.raises(SchemaError, match=r"\(verification\) is .*verified"):
+                census._check_cache(export(tampered), recount)
 
     def test_cache_with_duplicate_record(self):
         # a tampered copy of record 5 put first used to be hidden by the
@@ -185,48 +198,52 @@ class TestRunCensus:
         seq[4] += 1
         cache.records.insert(0, rec._replace(sequence=tuple(seq)))
         assert len(cache.records) == 59
-        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
-            run_census(6, cache=cache)
+        with pytest.raises(SchemaError, match=r"\(orbit_id\) is '      \"orbit_id\": 5'"):
+            census._check_cache(export(cache), run_census(6))
 
     def test_cache_with_wrong_orbit_id(self):
         cache = run_census(3)
         fresh = cache.records[:]
         cache.records[5] = cache.records[5]._replace(orbit_id=6)
-        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
-            run_census(4, cache=cache)
+        with pytest.raises(SchemaError, match=r"\(orbit_id\)"):
+            census._check_cache(export(cache), run_census(4))
         # right ids, wrong order
         cache = cache._replace(records=fresh[:5] + fresh[6:7] + fresh[5:6] + fresh[7:])
-        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
-            run_census(4, cache=cache)
+        with pytest.raises(SchemaError, match=r"\(orbit_id\)"):
+            census._check_cache(export(cache), run_census(4))
 
     def test_cache_with_wrong_members(self):
         cache = run_census(3)
         rec = cache.records[5]
         cache.records[5] = rec._replace(members=rec.members[:-1])
-        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
-            run_census(4, cache=cache)
+        with pytest.raises(SchemaError, match=r"\(members\)"):
+            census._check_cache(export(cache), run_census(4))
         cache.records[5] = rec._replace(members=rec.members[::-1])
-        with pytest.raises(SchemaError, match="one record per orbit, in orbit order"):
-            run_census(4, cache=cache)
+        with pytest.raises(SchemaError, match=r"\(members\)"):
+            census._check_cache(export(cache), run_census(4))
 
     def test_cache_with_short_sequences(self):
         # n_max claims more counts than the records hold: refused whether or
         # not the recount reaches past the last one they hold
-        short = run_census(4)._replace(n_max=6)
-        for n in (8, 4):
-            with pytest.raises(SchemaError, match="orbit 0 does not hold n_max"):
-                run_census(n, cache=short)
-        with pytest.raises(SchemaError, match="orbit 0 does not hold n_max"):
-            run_census(4, cache=run_census(6)._replace(n_max=4))
+        short = export(run_census(4)._replace(n_max=6))
+        with pytest.raises(SchemaError, match=r"\(sequence\)"):
+            census._check_cache(short, run_census(8))
+        for recount in (run_census(4), None):
+            with pytest.raises(SchemaError, match=r"n_max \+ 1 counts per sequence"):
+                census._check_cache(short, recount)
+        with pytest.raises(SchemaError, match=r"\(sequence\)"):
+            census._check_cache(export(run_census(6)._replace(n_max=4)), run_census(4))
 
     def test_cache_from_another_version(self):
+        # the census of a file's counts is this version's, so a cache from
+        # another version, or one that does not say its version, is refused
         cache = run_census(3)
         cache.metadata["version"] = "0.0.0"
-        with pytest.raises(SchemaError, match="from version 0.0.0"):
-            run_census(4, cache=cache)
-        # a cache that does not say its version is still accepted
+        with pytest.raises(SchemaError, match=r"\(version\) is .*0\.0\.0"):
+            census._check_cache(export(cache), run_census(4))
         del cache.metadata["version"]
-        assert run_census(4, cache=cache).records == run_census(4).records
+        with pytest.raises(SchemaError, match="metadata"):
+            census._check_cache(export(cache), run_census(4))
 
 
 class TestVerifyRegistry:
@@ -340,9 +357,11 @@ class TestSerialization:
         data = export(table)
         assert data == self.reference_json(table)
         assert data.isascii()
+        # the table is not the census of its counts, so as a file it is refused
         path = tmp_path / "census.json"
         path.write_bytes(data)
-        assert load_cache(path).records == table.records
+        with pytest.raises(SchemaError, match=r"\(paper_names\)"):
+            load_cache(path)
 
     def test_json_matches_json_dumps_on_nested_metadata(self, table5):
         table = copy.deepcopy(table5)._replace(metadata={
@@ -447,39 +466,50 @@ class TestSerialization:
         p = tmp_path / "bad.json"
 
         p.write_text("{not json")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="cache needs JSON"):
             load_cache(p)
 
         p.write_bytes(b'{"n_max": 0, "records": [], "metadata": {"note": "\xff"}}')
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(SchemaError, match="cache needs JSON.*utf-8"):
             load_cache(p)
 
         p.write_text(json.dumps([1, 2, 3]))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="cache needs JSON"):
             load_cache(p)
 
         p.write_text(json.dumps({"n_max": 2}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="cache needs JSON"):
             load_cache(p)
 
         p.write_text(json.dumps({"n_max": 2, "records": [{}]}))
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match="counts per sequence"):
             load_cache(p)
+
+        # valid JSON in export's layout, but not a census: no record, and
+        # records as export writes them but not in the form json.dump writes
+        p.write_text(json.dumps({"n_max": 0, "records": [], "metadata": {}}, indent=2) + "\n")
+        with pytest.raises(SchemaError, match="counts per sequence"):
+            load_cache(p)
+        doc = json.loads(export(run_census(1)))
+        for layout in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, indent=1)):
+            p.write_text(layout)
+            with pytest.raises(SchemaError, match="not the census of its own counts"):
+                load_cache(p)
 
     def test_load_rejects_wrong_sequence_length(self, table5, tmp_path):
         doc = json.loads(export(table5).decode())
         doc["records"][0]["sequence"].append("7")
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError):
+        p.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(SchemaError, match=r"\(sequence\) is .*7"):
             load_cache(p)
 
     def test_load_rejects_bad_verification(self, table5, tmp_path):
         doc = json.loads(export(table5).decode())
         doc["records"][0]["verification"] = "maybe"
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError):
+        p.write_text(json.dumps(doc, indent=2) + "\n")
+        with pytest.raises(SchemaError, match=r"\(verification\) is .*maybe"):
             load_cache(p)
 
     @pytest.mark.parametrize(
@@ -508,15 +538,16 @@ class TestSerialization:
         ],
     )
     def test_load_rejects_mistyped_fields(self, tmp_path, key, value):
-        # each file differs from a valid order-1 census in one field, and
-        # a looser loader would read it as some other, wrong table
+        # each file differs from a valid order-1 census in one field, and is
+        # written in export's layout, so it fails on that field, which the
+        # message names
         doc = json.loads(export(run_census(1)).decode())
         if key == "n_max":
             doc[key] = value
         else:
             doc["records"][1][key] = value
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(doc, indent=2) + "\n")
         with pytest.raises(SchemaError, match=key):
             load_cache(p)
 
@@ -529,26 +560,32 @@ class TestSerialization:
         doc = json.loads(export(run_census(1)).decode())
         doc["records"][1]["sequence"][1] = "1" * 5000
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(doc, indent=2) + "\n")
         with pytest.raises(SchemaError, match="sequence"):
             load_cache(p)
 
     def test_load_reads_utf8_in_any_locale(self, tmp_path):
-        # JSON is UTF-8; under the C locale, with UTF-8 mode and locale
-        # coercion off, a text read would decode the file as ASCII
+        # the rule compares bytes, so no locale decodes the file: under the C
+        # locale, with UTF-8 mode and locale coercion off, a valid cache is
+        # kept, and one with a UTF-8 note is refused at that note's line
+        path = tmp_path / "cache.json"
+        write_cache(run_census(1), path)
+        env = dict(fresh_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        argv = [sys.executable, "-m", "signedperms.cli", "census", "--n-max", "1",
+                "--cache", str(path)]
+        done = subprocess.run(argv, env=env, capture_output=True)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == path.read_bytes() == export(run_census(1))
         doc = json.loads(export(run_census(1)).decode())
         doc["metadata"]["note"] = "orders 0\u20131"
-        path = tmp_path / "cache.json"
-        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode())
+        path.write_bytes((json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode())
         assert b"\xe2\x80\x93" in path.read_bytes()
-        env = dict(fresh_env(), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-        done = subprocess.run(
-            [sys.executable, "-m", "signedperms.cli", "census", "--n-max", "1",
-             "--cache", str(path)],
-            env=env, capture_output=True,
-        )
-        assert (done.returncode, done.stderr) == (0, b"")
-        assert done.stdout == export(run_census(1))
+        before = path.read_bytes()
+        done = subprocess.run(argv, env=env, capture_output=True)
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr.startswith(b"error: cache is not the census of its own counts")
+        assert b"(note)" in done.stderr and b"Traceback" not in done.stderr
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("step", ["write", "replace"])
     def test_failed_write_keeps_the_old_cache(self, step, tmp_path, monkeypatch, capsys):
@@ -587,9 +624,10 @@ class TestSerialization:
         assert (tmp_path / "link.json").is_symlink()
         assert load_cache(target).n_max == 3
 
-    def test_file_cache_extension(self, tmp_path):
+    def test_file_cache_extension(self, tmp_path, capsys):
         path = tmp_path / "cache.json"
         write_cache(run_census(3), path)
-        cached = load_cache(path)
-        extended = run_census(5, cache=cached)
-        assert extended.records == run_census(5).records
+        assert load_cache(path) == run_census(3)
+        assert cli.main(["census", "--n-max", "5", "--cache", str(path)]) == 0
+        assert capsys.readouterr().out.encode() == path.read_bytes()
+        assert load_cache(path).records == run_census(5).records

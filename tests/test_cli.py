@@ -348,7 +348,7 @@ class TestCensus:
         )
         assert code == 2
         assert out == ""
-        assert "orbit 5" in err and "order 4" in err
+        assert "(sequence)" in err and str(int(record["sequence"][4]) - 1) in err
         assert cache.read_bytes() == before
 
     def test_duplicate_record_cache_exit_2(self, capsys, tmp_path):
@@ -366,7 +366,69 @@ class TestCensus:
         )
         assert code == 2
         assert out == ""
-        assert "one record per orbit" in err
+        assert "(orbit_id)" in err
+        assert cache.read_bytes() == before
+
+    @staticmethod
+    def edited_cache(capsys, path, edit, indent=2):
+        # an order-8 cache, edited and written back in export's layout
+        assert run(capsys, "census", "--n-max", "8", "--cache", str(path))[0] == 0
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc, indent=indent) + ("\n" if indent == 2 else ""))
+        return path.read_bytes()
+
+    def test_shallower_census_checks_the_cached_orders_above_it(self, capsys, tmp_path):
+        # the census of the file's own counts at order 8 is rebuilt, so an
+        # order-8 count that fails its formula is refused by an order-6 run
+        def edit(doc):
+            doc["records"][5]["sequence"][8] = "1"
+
+        cache = tmp_path / "cache.json"
+        before = self.edited_cache(capsys, cache, edit)
+        code, out, err = run(capsys, "census", "--n-max", "6", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "(verification)" in err
+        assert cache.read_bytes() == before
+
+    def test_cache_with_a_wrong_wilf_class_exit_2(self, capsys, tmp_path):
+        # a derived field is checked too, and the cache is not overwritten
+        def edit(doc):
+            doc["records"][7]["wilf_class"] = 999
+
+        cache = tmp_path / "cache.json"
+        before = self.edited_cache(capsys, cache, edit)
+        code, out, err = run(capsys, "census", "--n-max", "8", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "(wilf_class) is '      \"wilf_class\": 999'" in err
+        assert cache.read_bytes() == before
+
+    def test_reindented_cache_exit_2(self, capsys, tmp_path):
+        cache = tmp_path / "cache.json"
+        before = self.edited_cache(capsys, cache, lambda doc: None, indent=1)
+        code, out, err = run(capsys, "census", "--n-max", "8", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "line 2 (n_max)" in err
+        assert cache.read_bytes() == before
+
+    def test_deep_cache_is_refused_at_once(self, capsys, tmp_path):
+        # a file claiming order 1000, with a count for every order, is refused
+        # by the transfer engine's memory estimate before any formula runs
+        cache = tmp_path / "cache.json"
+
+        def deepen(doc):
+            doc["n_max"] = 1000
+            for record in doc["records"]:
+                record["sequence"] += ["0"] * (1001 - len(record["sequence"]))
+
+        before = self.edited_cache(capsys, cache, deepen)
+        start = time.perf_counter()
+        with pytest.raises(signedperms.SchemaError, match="order 1000 on 256 set"):
+            signedperms.load_cache(cache)
+        assert time.perf_counter() - start < 1
+        code, out, err = run(capsys, "census", "--n-max", "8", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "n_max: order 1000 on 256 set(s) needs an estimated" in err
         assert cache.read_bytes() == before
 
     def test_cache_holds_the_json_output(self, capsys, tmp_path):

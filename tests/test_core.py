@@ -92,6 +92,14 @@ class TestPatterns:
         with pytest.raises(ValueError):
             pattern_of((1, 1))
 
+    @pytest.mark.parametrize("letters", [[True, 2], [1.0, 2], [1, "2"]])
+    def test_pattern_of_refuses_a_letter_not_an_int(self, letters):
+        # a bool or a float compares equal to an int, and was looked up as one
+        with pytest.raises(TypeError, match="letters must be ints"):
+            pattern_of(letters)
+        with pytest.raises(TypeError, match="letters must be ints"):
+            PatternSet.from_patterns([letters])
+
     def test_pair_pattern_examples(self):
         assert str(pair_pattern(4, 7)) == "1 2"
         assert str(pair_pattern(7, 4)) == "2 1"
