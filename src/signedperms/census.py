@@ -310,11 +310,16 @@ def load_cache(path: str | Path) -> CensusTable:
 
 def write_cache(table: CensusTable, path: str | Path) -> None:
     # write a sibling of path's target, not of a symlink, and rename it over the
-    # target, so a write that fails partway leaves the old file whole
-    path = Path(path).resolve()
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    # target, so a write that fails partway leaves the old file whole; an error
+    # that names a file names the cache, not the temporary file
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(export(table))
-        os.replace(tmp, path)
+        os.replace(tmp, target)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     finally:
         tmp.unlink(missing_ok=True)

@@ -124,7 +124,8 @@ def _th5_5(n: int) -> int:
 
 
 # each id maps to (claim, evaluator); the claim restates the identity
-# b_n = formula(n) for human readers and fills every registry entry's claim
+# b_n = formula(n) for human readers and fills every registry entry's claim.
+# An id whose closed form an earlier id already states holds that id's entry.
 _EVALUATORS = {
     "EQ1": ("b_n = sum_k C(n,k)^2 k!", _eq1),
     "EQ2": ("b_n = (n+1)!", _eq2),
@@ -143,30 +144,30 @@ _EVALUATORS = {
     "EQ12": ("b_n = 2^{n+1} - (n+1)", _eq12),
     "EQ13": ("b_n = n! + sum_{j=1..n} sum_{p+q=n-j} p! q!", _eq13),
     "EQ13A": ("b_n = sum_j j! (n-j)!", _eq13a),
-    "TH4_1": ("b_n = 0", lambda n: 0),
-    "TH4_2": ("b_n = 2n", lambda n: 2 * n),
-    "TH4_3": ("b_n = 1 + C(n+1, 2)", lambda n: 1 + binomial(n + 1, 2)),
-    "TH4_4": ("b_n = 2^n", lambda n: 2**n),
-    "TH4_5": ("b_n = 2 n!", lambda n: 2 * factorial(n)),
+    "TH4_1": (_th4_1 := ("b_n = 0", lambda n: 0)),
+    "TH4_2": (_th4_2 := ("b_n = 2n", lambda n: 2 * n)),
+    "TH4_3": (_th4_3 := ("b_n = 1 + C(n+1, 2)", lambda n: 1 + binomial(n + 1, 2))),
+    "TH4_4": (_th4_4 := ("b_n = 2^n", lambda n: 2**n)),
+    "TH4_5": (_th4_5 := ("b_n = 2 n!", lambda n: 2 * factorial(n))),
     "TH4_6": ("b_n = sum_{j=0..n} j!", lambda n: sum(factorial(j) for j in range(n + 1))),
     # two disjoint cases, added: all letters barred (n! words), or exactly
     # one unbarred letter with larger magnitudes before it and smaller after
     "TH4_7": ("b_n = n! + sum_{j<n} j! (n-1-j)!", lambda n: factorial(n) + _eq13a(n - 1)),
-    "TH5_1": ("b_n = 0", lambda n: 0),
+    "TH5_1": _th4_1,
     "TH5_2": ("b_n = 3", lambda n: 3),
     "TH5_3": ("b_n = n + 1", lambda n: n + 1),
     "TH5_4": ("b_n = 1 + n!", lambda n: 1 + factorial(n)),
     "TH5_5": ("b_n = (n+1)(n-1)!", _th5_5),
-    "TH6_1": ("b_n = 0", lambda n: 0),
+    "TH6_1": _th4_1,
     "TH6_2": ("b_n = 2", lambda n: 2),
     "TH6_3": ("b_n = n!", lambda n: factorial(n)),
-    "TH7_1": ("b_n = 0", lambda n: 0),
+    "TH7_1": _th4_1,
     "TH7_2": ("b_n = 1", lambda n: 1),
-    "COR_EXTU1": ("b_n = 2n", lambda n: 2 * n),
-    "COR_EXTU2": ("b_n = 2^n", lambda n: 2**n),
-    "COR_EXTU3": ("b_n = 1 + C(n+1, 2)", lambda n: 1 + binomial(n + 1, 2)),
-    "COR_EXTU4": ("b_n = 2 n!", lambda n: 2 * factorial(n)),
-    "COR_EXTU5": ("b_n = 2^n", lambda n: 2**n),
+    "COR_EXTU1": _th4_2,
+    "COR_EXTU2": _th4_4,
+    "COR_EXTU3": _th4_3,
+    "COR_EXTU4": _th4_5,
+    "COR_EXTU5": _th4_4,
     "EMPTYSET": ("b_n = 2^n n!", lambda n: 2**n * factorial(n)),
 }
 

@@ -616,6 +616,20 @@ class TestSerialization:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
+    def test_failed_rename_names_the_cache(self, tmp_path, monkeypatch):
+        # os.replace names both files; the error names only the cache
+        path = tmp_path / "c.json"
+
+        def fail(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError) as failed:
+            write_cache(run_census(1), path)
+        reason = os.strerror(errno.EXDEV)
+        assert str(failed.value) == f"[Errno {errno.EXDEV}] {reason}: {str(path)!r}"
+        assert list(tmp_path.iterdir()) == []
+
     def test_write_through_a_symlinked_cache(self, tmp_path):
         target = tmp_path / "real.json"
         write_cache(run_census(2), target)

@@ -301,11 +301,12 @@ class TestCensus:
 
     def test_cache_never_shrinks(self, capsys, tmp_path):
         cache = tmp_path / "cache.json"
-        code, _, _ = run(
+        code, out, _ = run(
             capsys, "census", "--n-max", "7", "--cache", str(cache)
         )
         assert code == 0
         before = cache.read_bytes()
+        assert out.encode() == before
 
         code, out, _ = run(
             capsys, "census", "--n-max", "4", "--cache", str(cache)
@@ -324,6 +325,10 @@ class TestCensus:
             assert code == 0
             assert out.startswith("{" if fmt == "json" else "orbit_id,")
             assert cache.read_bytes() == before
+
+        # a run at the cache's own order prints the cache and keeps it
+        code, out, _ = run(capsys, "census", "--n-max", "7", "--cache", str(cache))
+        assert (code, out.encode(), cache.read_bytes()) == (0, before, before)
 
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
         claim = formulas._EVALUATORS["EQ12"][0]
@@ -430,6 +435,20 @@ class TestCensus:
         assert (code, out) == (2, "")
         assert "n_max: order 1000 on 256 set(s) needs an estimated" in err
         assert cache.read_bytes() == before
+
+    def test_cache_in_a_missing_directory_exit_2(self, capsys, tmp_path):
+        # the error names the cache as given, not the temporary file beside it
+        cache = tmp_path / "missing" / "cache.json"
+        code, out, err = run(capsys, "census", "--n-max", "2", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 2] ")
+        assert err.endswith(f": {str(cache)!r}\n") and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_order_12_output_is_json_dumps(self, capsys):
+        code, out, _ = run(capsys, "census", "--n-max", "12")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_cache_holds_the_json_output(self, capsys, tmp_path):
         json_cache = tmp_path / "a.json"

@@ -19,6 +19,7 @@ from signedperms import (
     fibonacci,
     registry,
 )
+from signedperms import formulas
 from conftest import NAMED_TRIPLES
 
 
@@ -165,6 +166,24 @@ class TestEvaluators:
 
     def test_emptyset(self):
         assert [eval_formula("EMPTYSET", n) for n in range(5)] == [1, 2, 8, 48, 384]
+
+    def test_each_closed_form_is_written_once(self):
+        # two ids hold the same (claim, evaluator) entry exactly when their
+        # values agree at every order 0..40: 37 ids, 29 closed forms
+        entries = formulas._EVALUATORS
+        values = {f: [eval_formula(f, n) for n in range(41)] for f in FORMULA_IDS}
+        for a in FORMULA_IDS:
+            for b in FORMULA_IDS:
+                assert (entries[a] is entries[b]) == (values[a] == values[b]), (a, b)
+        assert len(entries) == 37
+        assert len({id(entry) for entry in entries.values()}) == 29
+
+    def test_patching_one_id_leaves_those_sharing_its_entry(self, monkeypatch):
+        # the seeded mutations replace one id's entry, not the ids sharing it
+        claim = formulas._EVALUATORS["TH4_4"][0]
+        monkeypatch.setitem(formulas._EVALUATORS, "TH4_4", (claim, lambda n: 2**n + 1))
+        assert eval_formula("TH4_4", 5) == 33
+        assert eval_formula("COR_EXTU2", 5) == eval_formula("COR_EXTU5", 5) == 32
 
 
 class TestRegistry:
