@@ -4,8 +4,8 @@ One call enumerates b_0..b_6 for all 58 orbits, checks each registered
 closed form on its claimed range, and groups orbits with identical
 sequences into Wilf classes.  The table is written to census6.json next to
 this script, as the CLI's --cache flag writes it: such a file is valid only
-if it is, byte for byte, the census of its own counts, and load_cache
-refuses any other.
+if it is, byte for byte, a fresh census at its own order, and load_cache
+counts that census again to refuse any other.
 """
 
 from pathlib import Path

@@ -7,16 +7,14 @@ verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
 guarded by its memory budget, not by the oracles' work budget, and their
 formula checks from one loop, _check_registry.  export writes a table as
-JSON or CSV.  A census file is valid only if its bytes are export of the
-census at its own n_max, built from a recount's counts and from the file's
-own counts above them: _check_cache applies this one rule for load_cache
-and census --cache, and raises SchemaError for any other file.
+JSON or CSV.  A census file is valid only if its bytes are export of a fresh
+census at its own n_max: _check_cache applies this one rule, at the cost of
+that census, for load_cache and census --cache, and raises SchemaError.
 """
 
 import json
 import os
 import re
-import reprlib
 from pathlib import Path
 from typing import NamedTuple
 
@@ -121,12 +119,7 @@ def run_census(n_max: int) -> CensusTable:
     All orders come from one transfer-engine pass over the 256 sets, whose
     memory budget admits n_max up to 33.
     """
-    return _census(transfer_all_orders(n_max, range(256)))
-
-
-def _census(per_order: list[list[int]]) -> CensusTable:
-    # the record builder: each orbit's sequence is read from its
-    # representative's counts, per_order[n][mask], and checked against its members'
+    per_order = transfer_all_orders(n_max, range(256))
     by_rep: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(per_order):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
@@ -165,7 +158,7 @@ def _census(per_order: list[list[int]]) -> CensusTable:
                 verification_details=details,
             )
         )
-    return CensusTable(len(per_order) - 1, records, {"version": __version__})
+    return CensusTable(n_max, records, {"version": __version__})
 
 
 def wilf_classes(table: CensusTable) -> tuple[tuple[int, ...], ...]:
@@ -258,13 +251,6 @@ def export(table: CensusTable, format: str = "json") -> bytes:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _count(text) -> int:
-    # a count as export writes it: decimal digits (ValueError past int()'s limit)
-    if type(text) is not str or not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{reprlib.repr(text)} is not a count")
-    return int(text)
-
-
 def _first_difference(got: bytes, want: bytes) -> str:
     # the first line where got parts from want, and the field it is in; commas
     # at line ends are dropped, since a field added after a line adds one there
@@ -277,34 +263,22 @@ def _first_difference(got: bytes, want: bytes) -> str:
     return f"line {i + 1} ({key}) is {line!r}, not {theirs[i].decode()!r}"
 
 
-def _check_cache(data: bytes, recount: CensusTable | None = None) -> CensusTable:
-    # the one rule for a census file: data must be, byte for byte, export of
-    # the census at its own n_max, built from recount's counts at its orders
-    # and from data's own counts above them; that census is returned
+def _check_cache(data: bytes) -> CensusTable:
+    # data must be export of a fresh census at its own n_max, which is returned
     try:
-        doc = json.loads(data)  # JSON is UTF-8 in any locale
-        n_max, records = doc["n_max"], doc["records"]
-        _check_budget(n_max, 256)  # a deep order is refused before any formula runs
+        n_max = json.loads(data)["n_max"]  # JSON is UTF-8 in any locale
+        _check_budget(n_max, 256)  # a deep order is refused before anything is counted
     except (ValueError, LookupError, TypeError) as exc:
-        raise SchemaError(f"cache needs JSON records and a valid n_max: {exc}") from None
-    counted = -1 if recount is None else min(recount.n_max, n_max)
-    try:
-        rows = [[rec.sequence[n] for rec in recount.records] for n in range(counted + 1)]
-        rows += [[_count(rec["sequence"][n]) for rec in records]
-                 for n in range(counted + 1, n_max + 1)]
-        orbit = {m.mask: i for i, orb in enumerate(all_orbits()) for m in orb.members}
-        per_order = [[row[orbit[mask]] for mask in range(256)] for row in rows]
-    except (ValueError, LookupError, TypeError) as exc:
-        raise SchemaError(f"cache needs n_max + 1 counts per sequence: {exc}") from None
-    want = export(table := _census(per_order))
+        raise SchemaError(f"cache needs JSON with a valid n_max: {exc}") from None
+    want = export(table := run_census(n_max))
     if data != want:
-        raise SchemaError(f"cache is not the census of its own counts: "
+        raise SchemaError(f"cache is not the census of order {n_max}: "
                           f"{_first_difference(data, want)}")
     return table
 
 
 def load_cache(path: str | Path) -> CensusTable:
-    """Read a census file: SchemaError unless it is export of its own census."""
+    """Read a census file: SchemaError unless it is export of a fresh census at its order."""
     return _check_cache(Path(path).read_bytes())
 
 

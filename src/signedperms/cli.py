@@ -2,7 +2,7 @@
 
 Subcommands: count, sequence, orbits, census, verify.  Each writes its
 output to stdout; census keeps a --cache file, the only file left behind,
-which must be the census of its own counts, and replaces it only with a
+which must equal a fresh census at its own order, and replaces it only with a
 deeper census.  Output is byte identical across runs for the same inputs; the
 whole subcommand's elapsed time goes to stderr, and only under --timing.
 Exit codes: 0 success, 1 verification found a mismatch, 2 usage or input
@@ -103,15 +103,16 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    if args.cache == "":
+        raise ValueError("--cache needs a file name")
     table = run_census(args.n_max)
     data = export(table, args.format)
-    if args.cache:
+    if args.cache is not None:
         path = Path(args.cache)
         fresh = data if args.format == "json" else export(table, "json")
         old = path.read_bytes() if path.exists() else None
-        # an up-to-date cache is kept as it is; any other must be the census
-        # of its own counts (or SchemaError), and only a deeper census replaces it
-        if old != fresh and (old is None or _check_cache(old, table).n_max < table.n_max):
+        # keep an up-to-date cache; check any other, and replace it only with a deeper census
+        if old != fresh and (old is None or _check_cache(old).n_max < table.n_max):
             write_cache(table, path)
     sys.stdout.write(data.decode())
     return 1 if any(rec.verification == MISMATCH for rec in table.records) else 0
@@ -214,9 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen = sub.add_parser("census", help="sequences and verification for all orbits")
     p_cen.add_argument("--n-max", type=int, required=True,
                        help="last order to count every orbit at")
-    p_cen.add_argument("--cache", default=None,
-                       help="JSON census to check against the recount and replace; "
-                            "the only file left behind, output goes to stdout")
+    p_cen.add_argument("--cache", help="JSON census, refused unless it is its order's census, "
+                       "replaced by a deeper one; the only file written, output goes to stdout")
     common(p_cen, ("json", "csv"))
     p_cen.set_defaults(func=_cmd_census)
 

@@ -267,10 +267,14 @@ class PatternSet:
         return ", ".join(str(p) for p in self)
 
     def __or__(self, other: "PatternSet") -> "PatternSet":
-        return PatternSet(self.mask | other.mask)
+        if other.__class__ is self.__class__:
+            return PatternSet(self.mask | other.mask)
+        return NotImplemented
 
     def __and__(self, other: "PatternSet") -> "PatternSet":
-        return PatternSet(self.mask & other.mask)
+        if other.__class__ is self.__class__:
+            return PatternSet(self.mask & other.mask)
+        return NotImplemented
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -279,6 +283,8 @@ class PatternSet:
         return (PATTERNS[i] for i in range(8) if self.mask >> i & 1)
 
     def __contains__(self, p: Pattern) -> bool:
+        if not isinstance(p, Pattern):
+            raise TypeError(f"a PatternSet holds Patterns, not {p!r}")
         return bool(self.mask >> p.index & 1)
 
     def __str__(self) -> str:

@@ -33,6 +33,18 @@ def table5():
     return run_census(5)
 
 
+def assert_refused(data, tmp_path, orders, match=None):
+    # refused by the cache rule, and by census --cache at each order given,
+    # shallower or deeper than the file's, which exits 2 and keeps the file
+    with pytest.raises(SchemaError, match=match):
+        census._check_cache(data)
+    path = tmp_path / "cache.json"
+    path.write_bytes(data)
+    for n in orders:
+        assert cli.main(["census", "--n-max", str(n), "--cache", str(path)]) == 2
+        assert path.read_bytes() == data
+
+
 def record_for(table, text):
     from signedperms import canonical_representative
 
@@ -150,15 +162,13 @@ class TestRunCensus:
         assert t2.wilf_class != t9.wilf_class
 
     # The cache rule, census._check_cache: a file is valid only if its bytes
-    # are export of the census at its own n_max, built from the recount's
-    # counts and from the file's own counts above them.  Each test below
-    # edits a census and checks that the edit is refused.
+    # are export of a fresh census at its own n_max.  Each test below edits a
+    # census and checks that the edit is refused.
 
     def test_cache_reuse(self, table5, tmp_path, capsys):
-        # a deeper recount checks every cached order; a shallower one checks
-        # the orders it counted and rebuilds the rest from the file's counts
-        assert census._check_cache(export(run_census(3)), table5) == run_census(3)
-        assert census._check_cache(export(table5), run_census(2)) == table5
+        # a valid file of any order is the census it holds
+        assert census._check_cache(export(run_census(3))) == run_census(3)
+        assert census._check_cache(export(table5)) == table5
         path = tmp_path / "c.json"
         write_cache(run_census(3), path)
         assert cli.main(["census", "--n-max", "5", "--cache", str(path)]) == 0
@@ -168,26 +178,20 @@ class TestRunCensus:
         assert capsys.readouterr().out.encode() == export(run_census(2))
         assert path.read_bytes() == export(table5)
 
-    def test_cache_with_wrong_orbits(self, table5):
+    def test_cache_with_wrong_orbits(self, tmp_path):
         broken = run_census(2)
         broken = broken._replace(records=broken.records[:-1])
-        for recount in (None, run_census(1), run_census(3)):
-            with pytest.raises(SchemaError):
-                census._check_cache(export(broken), recount)
+        assert_refused(export(broken), tmp_path, (1, 3))
 
-    def test_cache_with_tampered_count(self, table5):
+    def test_cache_with_tampered_count(self, tmp_path):
         tampered = run_census(5)
         rec = tampered.records[5]
         seq = list(rec.sequence)
         seq[4] += 1
         tampered.records[5] = rec._replace(sequence=tuple(seq))
-        with pytest.raises(SchemaError, match=r"line \d+ \(sequence\)"):
-            census._check_cache(export(tampered), run_census(6))
-        # a recount that stops below the edit rebuilds the census at order 5
-        # from the file's counts, and the edited count fails its formula there
-        for recount in (None, run_census(3)):
-            with pytest.raises(SchemaError, match=r"\(verification\) is .*verified"):
-                census._check_cache(export(tampered), recount)
+        # the message names the edited count and the count it should be
+        wrong = rf"""line \d+ \(sequence\) is ' *"{seq[4]}"', not ' *"{seq[4] - 1}"'"""
+        assert_refused(export(tampered), tmp_path, (3, 6), wrong)
 
     def test_cache_with_duplicate_record(self):
         # a tampered copy of record 5 put first used to be hidden by the
@@ -199,51 +203,46 @@ class TestRunCensus:
         cache.records.insert(0, rec._replace(sequence=tuple(seq)))
         assert len(cache.records) == 59
         with pytest.raises(SchemaError, match=r"\(orbit_id\) is '      \"orbit_id\": 5'"):
-            census._check_cache(export(cache), run_census(6))
+            census._check_cache(export(cache))
 
     def test_cache_with_wrong_orbit_id(self):
         cache = run_census(3)
         fresh = cache.records[:]
         cache.records[5] = cache.records[5]._replace(orbit_id=6)
         with pytest.raises(SchemaError, match=r"\(orbit_id\)"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
         # right ids, wrong order
         cache = cache._replace(records=fresh[:5] + fresh[6:7] + fresh[5:6] + fresh[7:])
         with pytest.raises(SchemaError, match=r"\(orbit_id\)"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
 
     def test_cache_with_wrong_members(self):
         cache = run_census(3)
         rec = cache.records[5]
         cache.records[5] = rec._replace(members=rec.members[:-1])
         with pytest.raises(SchemaError, match=r"\(members\)"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
         cache.records[5] = rec._replace(members=rec.members[::-1])
         with pytest.raises(SchemaError, match=r"\(members\)"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
 
-    def test_cache_with_short_sequences(self):
-        # n_max claims more counts than the records hold: refused whether or
-        # not the recount reaches past the last one they hold
+    def test_cache_with_short_sequences(self, tmp_path):
+        # n_max claims more counts than the records hold, or fewer
         short = export(run_census(4)._replace(n_max=6))
+        assert_refused(short, tmp_path, (4, 8), r"\(sequence\)")
         with pytest.raises(SchemaError, match=r"\(sequence\)"):
-            census._check_cache(short, run_census(8))
-        for recount in (run_census(4), None):
-            with pytest.raises(SchemaError, match=r"n_max \+ 1 counts per sequence"):
-                census._check_cache(short, recount)
-        with pytest.raises(SchemaError, match=r"\(sequence\)"):
-            census._check_cache(export(run_census(6)._replace(n_max=4)), run_census(4))
+            census._check_cache(export(run_census(6)._replace(n_max=4)))
 
     def test_cache_from_another_version(self):
-        # the census of a file's counts is this version's, so a cache from
+        # the census at a file's order is this version's, so a cache from
         # another version, or one that does not say its version, is refused
         cache = run_census(3)
         cache.metadata["version"] = "0.0.0"
         with pytest.raises(SchemaError, match=r"\(version\) is .*0\.0\.0"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
         del cache.metadata["version"]
         with pytest.raises(SchemaError, match="metadata"):
-            census._check_cache(export(cache), run_census(4))
+            census._check_cache(export(cache))
 
 
 class TestVerifyRegistry:
@@ -478,22 +477,22 @@ class TestSerialization:
             load_cache(p)
 
         p.write_text(json.dumps({"n_max": 2}))
-        with pytest.raises(SchemaError, match="cache needs JSON"):
+        with pytest.raises(SchemaError, match="not the census of order 2"):
             load_cache(p)
 
         p.write_text(json.dumps({"n_max": 2, "records": [{}]}))
-        with pytest.raises(SchemaError, match="counts per sequence"):
+        with pytest.raises(SchemaError, match="not the census of order 2"):
             load_cache(p)
 
         # valid JSON in export's layout, but not a census: no record, and
         # records as export writes them but not in the form json.dump writes
         p.write_text(json.dumps({"n_max": 0, "records": [], "metadata": {}}, indent=2) + "\n")
-        with pytest.raises(SchemaError, match="counts per sequence"):
+        with pytest.raises(SchemaError, match="not the census of order 0"):
             load_cache(p)
         doc = json.loads(export(run_census(1)))
         for layout in (json.dumps(doc), json.dumps(doc, indent=2), json.dumps(doc, indent=1)):
             p.write_text(layout)
-            with pytest.raises(SchemaError, match="not the census of its own counts"):
+            with pytest.raises(SchemaError, match="not the census of order 1"):
                 load_cache(p)
 
     def test_load_rejects_wrong_sequence_length(self, table5, tmp_path):
@@ -583,7 +582,7 @@ class TestSerialization:
         before = path.read_bytes()
         done = subprocess.run(argv, env=env, capture_output=True)
         assert (done.returncode, done.stdout) == (2, b"")
-        assert done.stderr.startswith(b"error: cache is not the census of its own counts")
+        assert done.stderr.startswith(b"error: cache is not the census of order 1")
         assert b"(note)" in done.stderr and b"Traceback" not in done.stderr
         assert path.read_bytes() == before
 

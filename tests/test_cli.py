@@ -384,8 +384,8 @@ class TestCensus:
         return path.read_bytes()
 
     def test_shallower_census_checks_the_cached_orders_above_it(self, capsys, tmp_path):
-        # the census of the file's own counts at order 8 is rebuilt, so an
-        # order-8 count that fails its formula is refused by an order-6 run
+        # the census at the file's order 8 is counted afresh, so an edited
+        # order-8 count is refused by an order-6 run, which names it
         def edit(doc):
             doc["records"][5]["sequence"][8] = "1"
 
@@ -393,7 +393,33 @@ class TestCensus:
         before = self.edited_cache(capsys, cache, edit)
         code, out, err = run(capsys, "census", "--n-max", "6", "--cache", str(cache))
         assert (code, out) == (2, "")
-        assert "(verification)" in err
+        assert """(sequence) is '        "1"', not""" in err
+        assert cache.read_bytes() == before
+
+    def test_cache_of_a_wrong_count_and_its_mismatch_exit_2(self, capsys, tmp_path, monkeypatch):
+        # a file that is the census of its own counts, one of them wrong and
+        # recorded as a mismatch, is still not the census of order 8
+        orbit = signedperms.all_orbits()[20]
+        assert orbit.representative == signedperms.PatternSet.parse("1 2, -1 -2, 2 -1")
+        engine = signedperms.census.transfer_all_orders
+
+        def raised(n_max, masks):
+            per_order = engine(n_max, masks)
+            for member in orbit.members:
+                per_order[8][member.mask] += 1
+            return per_order
+
+        cache = tmp_path / "cache.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(signedperms.census, "transfer_all_orders", raised)
+            signedperms.write_cache(signedperms.run_census(8), cache)
+        before = cache.read_bytes()
+        assert b'"T_8/EQ12 at n=8: formula 503, enumerated 504"' in before
+        with pytest.raises(signedperms.SchemaError, match=r"\(sequence\)"):
+            signedperms.load_cache(cache)
+        code, out, err = run(capsys, "census", "--n-max", "6", "--cache", str(cache))
+        assert (code, out) == (2, "")
+        assert "(sequence)" in err
         assert cache.read_bytes() == before
 
     def test_cache_with_a_wrong_wilf_class_exit_2(self, capsys, tmp_path):
@@ -435,6 +461,14 @@ class TestCensus:
         assert (code, out) == (2, "")
         assert "n_max: order 1000 on 256 set(s) needs an estimated" in err
         assert cache.read_bytes() == before
+
+    def test_empty_cache_path_exit_2(self, capsys, tmp_path, monkeypatch):
+        # an empty path names no file: an error, not a run without a cache
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "census", "--n-max", "2", "--cache", "")
+        assert (code, out) == (2, "")
+        assert err == "error: --cache needs a file name\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_in_a_missing_directory_exit_2(self, capsys, tmp_path):
         # the error names the cache as given, not the temporary file beside it

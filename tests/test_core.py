@@ -1,6 +1,7 @@
 """Core types: letters, patterns, containment, iteration."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -172,6 +173,10 @@ class TestPatternSet:
         assert PATTERNS[1] in ps
         assert PATTERNS[4] not in ps
         assert [p.index for p in ps] == [0, 1, 7]
+        # only a Pattern can be in a set, and the error names what was asked
+        for foreign in (5, (1, 2), None, "1 2"):
+            with pytest.raises(TypeError, match=re.escape(repr(foreign))):
+                foreign in ps
 
     def test_operators(self):
         a = PatternSet.parse("1 2")
@@ -179,6 +184,12 @@ class TestPatternSet:
         assert (a | b).mask == 0b11
         assert (a & b) == EMPTY_SET
         assert len(FULL_SET) == 8
+        # a foreign operand is not a set of patterns: TypeError, as for <
+        for foreign in (4, None, a.mask, {PATTERNS[0]}):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a | foreign
+            with pytest.raises(TypeError, match="unsupported operand"):
+                a & foreign
 
     def test_mask_bounds(self):
         with pytest.raises(ValueError):
