@@ -13,9 +13,8 @@ from signedperms import (
     PatternSet,
     avoids,
     containment_mask,
-    contains,
     iterate_Bn,
-    pair_pattern,
+    pair_index,
     validate_permutation,
 )
 
@@ -28,15 +27,15 @@ def main() -> None:
 
     w = validate_permutation([2, -1, 3])
     print(f"word: {w.oneline()}")
-    print(f"  pair (positions 0,1): {pair_pattern(w[0], w[1])}")
-    print(f"  pair (positions 0,2): {pair_pattern(w[0], w[2])}")
-    print(f"  pair (positions 1,2): {pair_pattern(w[1], w[2])}")
+    print(f"  pair (positions 0,1): {PATTERNS[pair_index(w[0], w[1])]}")
+    print(f"  pair (positions 0,2): {PATTERNS[pair_index(w[0], w[2])]}")
+    print(f"  pair (positions 1,2): {PATTERNS[pair_index(w[1], w[2])]}")
     print(f"  all patterns realized: {containment_mask(w)}")
     print()
 
     tset = PatternSet.parse("1 2, -1 2")
     print(f"does {w.oneline()} avoid {tset}?", avoids(w, tset))
-    print(f"does it contain '2 1'?", contains(w, PATTERNS[1]))
+    print(f"does it contain '2 1'?", PATTERNS[1] in containment_mask(w))
     print()
 
     print(f"order-3 words avoiding {tset}:")

@@ -6,13 +6,14 @@ This script prints the group, shows one orbit in full, and tabulates how
 the 256 sets collapse to 58 orbits by set size.
 """
 
+from collections import Counter
+
 from signedperms import (
     PatternSet,
     all_orbits,
     apply,
     apply_to_set,
     group_elements,
-    orbit_census_by_size,
     orbit_of_set,
     validate_permutation,
 )
@@ -48,7 +49,7 @@ def main() -> None:
     print()
 
     print("orbits by set size (256 sets -> 58 orbits):")
-    census = orbit_census_by_size()
+    census = Counter(len(o.representative) for o in all_orbits())
     for size, orbits in census.items():
         sets = sum(len(o.members) for o in all_orbits() if len(o.representative) == size)
         print(f"  {size} patterns: {orbits:2d} orbits covering {sets:2d} sets")

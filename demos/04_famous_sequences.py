@@ -6,7 +6,7 @@ Fibonacci numbers, and simple polynomials.  Each row below is enumerated
 by backtracking and compared against its closed form from the registry.
 """
 
-from signedperms import count_backtrack, entries_for, eval_formula, PatternSet
+from signedperms import count_backtrack, eval_formula, orbit_of_set, PatternSet, registry
 
 SHOWCASE = [
     ("1 2", "squared binomial sum"),
@@ -24,7 +24,8 @@ N_MAX = 7
 def main() -> None:
     for text, nickname in SHOWCASE:
         tset = PatternSet.parse(text)
-        entry = entries_for(tset)[0]
+        rep = orbit_of_set(tset).representative
+        entry = next(e for e in registry() if e.canonical == rep)
         enumerated = [count_backtrack(n, tset).value for n in range(N_MAX + 1)]
         closed = [eval_formula(entry.formula, n) for n in range(N_MAX + 1)]
         status = "ok" if enumerated == closed else "MISMATCH"

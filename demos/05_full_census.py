@@ -5,12 +5,12 @@ closed form on its claimed range, and groups orbits with identical
 sequences into Wilf classes.  The table is written to census6.json next to
 this script, as the CLI's --cache flag writes it: such a file is valid only
 if it is, byte for byte, a fresh census at its own order, and load_cache
-counts that census again to refuse any other.
+counts that census again to refuse any other that begins as one does.
 """
 
 from pathlib import Path
 
-from signedperms import run_census, wilf_classes, write_cache
+from signedperms import run_census, write_cache
 
 N_MAX = 6
 
@@ -24,9 +24,11 @@ def main() -> None:
     print(f"verification: {verified}/{len(records)} orbits match their closed forms")
     print()
 
-    classes = wilf_classes(table)
+    classes: dict[int, list[int]] = {}
+    for rec in records:
+        classes.setdefault(rec.wilf_class, []).append(rec.orbit_id)
     print(f"{len(classes)} Wilf classes (orbits sharing a sequence):")
-    for cid, orbit_ids in enumerate(classes):
+    for cid, orbit_ids in classes.items():
         rec = records[orbit_ids[0]]
         names = ", ".join(
             n for oid in orbit_ids for n in records[oid].paper_names

@@ -8,8 +8,9 @@ their counts from one call to the transfer engine over the 256 sets,
 guarded by its memory budget, not by the oracles' work budget, and their
 formula checks from one loop, _check_registry.  export writes a table as
 JSON or CSV.  A census file is valid only if its bytes are export of a fresh
-census at its own n_max: _check_cache applies this one rule, at the cost of
-that census, for load_cache and census --cache, and raises SchemaError.
+census at its own n_max: _check_cache applies this one rule for load_cache and
+census --cache, counting that census only for a file that begins as its export
+does, and raises SchemaError.
 """
 
 import json
@@ -27,7 +28,7 @@ from .symmetry import all_orbits
 __all__ = [
     "CensusRecord", "CensusTable", "EntryCheck", "SchemaError", "SupersededClaim",
     "VerificationReport", "export", "load_cache", "run_census", "verify_registry",
-    "wilf_classes", "write_cache",
+    "write_cache",
 ]
 
 
@@ -161,14 +162,6 @@ def run_census(n_max: int) -> CensusTable:
     return CensusTable(n_max, records, {"version": __version__})
 
 
-def wilf_classes(table: CensusTable) -> tuple[tuple[int, ...], ...]:
-    """Orbit ids grouped by equal sequences, in order of first appearance."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for rec in sorted(table.records, key=lambda r: r.orbit_id):
-        groups.setdefault(rec.sequence, []).append(rec.orbit_id)
-    return tuple(tuple(ids) for ids in groups.values())
-
-
 class SupersededClaim(NamedTuple):
     """A historically claimed count shown wrong by direct enumeration."""
 
@@ -270,7 +263,10 @@ def _check_cache(data: bytes) -> CensusTable:
         _check_budget(n_max, 256)  # a deep order is refused before anything is counted
     except (ValueError, LookupError, TypeError) as exc:
         raise SchemaError(f"cache needs JSON with a valid n_max: {exc}") from None
-    want = export(table := run_census(n_max))
+    # export's first lines: a file that does not begin with them is refused uncounted
+    want = b'{\n  "n_max": %d,\n  "records": [\n' % n_max
+    if data.startswith(want):
+        want = export(table := run_census(n_max))
     if data != want:
         raise SchemaError(f"cache is not the census of order {n_max}: "
                           f"{_first_difference(data, want)}")

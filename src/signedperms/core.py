@@ -30,8 +30,8 @@ __all__ = [
     "EMPTY_SET", "FULL_SET", "PATTERNS", "CapExceededError",
     "DuplicateMagnitudeError", "EqualMagnitudesError", "MagnitudeOutOfRangeError",
     "Pattern", "PatternSet", "SignedPermutation", "ZeroLetterError", "avoids",
-    "containment_mask", "contains", "iterate_Bn", "pair_index",
-    "pair_pattern", "pattern_of", "validate_permutation",
+    "containment_mask", "iterate_Bn", "pair_index", "pattern_of",
+    "validate_permutation",
 ]
 
 class ZeroLetterError(ValueError):
@@ -163,11 +163,6 @@ def pair_index(x: int, y: int) -> int:
     return _PAIR_INDEX[((x < 0) << 2) | ((y < 0) << 1) | (mx < my)]
 
 
-def pair_pattern(x: int, y: int) -> Pattern:
-    """The pattern realized by the letter pair (x, y), in this order."""
-    return PATTERNS[pair_index(x, y)]
-
-
 def pattern_of(letters: Sequence[int]) -> Pattern:
     """Look up the pattern with exactly these letters (magnitudes {1, 2})."""
     letters = tuple(letters)
@@ -293,11 +288,6 @@ class PatternSet:
 
 EMPTY_SET = PatternSet(0)
 FULL_SET = PatternSet(0xFF)
-
-
-def contains(alpha: Sequence[int], tau: Pattern) -> bool:
-    """Does alpha contain the pattern tau?"""
-    return not avoids(alpha, PatternSet(1 << tau.index))
 
 
 def containment_mask(alpha: Sequence[int]) -> PatternSet:

@@ -14,11 +14,11 @@ from math import factorial
 from typing import NamedTuple
 
 from .core import PatternSet, _check_order
-from .symmetry import canonical_representative
+from .symmetry import orbit_of_set
 
 __all__ = [
-    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "catalan", "entries_for",
-    "eval_formula", "fibonacci", "registry",
+    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "catalan", "eval_formula",
+    "fibonacci", "registry",
 ]
 
 
@@ -203,7 +203,7 @@ class RegistryEntry(NamedTuple):
 def _entry(name: str, text: str, formula: str, min_n: int) -> RegistryEntry:
     ps = PatternSet.parse(text)
     claim = _EVALUATORS[formula][0]
-    return RegistryEntry(name, ps, canonical_representative(ps), formula, min_n, claim)
+    return RegistryEntry(name, ps, orbit_of_set(ps).representative, formula, min_n, claim)
 
 
 @cache
@@ -296,9 +296,3 @@ def registry() -> tuple[RegistryEntry, ...]:
         e("T_4+{2 1}", "1 2, 1 -2, 2 -1, 2 1", "COR_EXTU4", 1),
         e("T_5+{-2 -1}", "1 2, 1 -2, -2 1, -2 -1", "COR_EXTU5", 0),
     )
-
-
-def entries_for(tset: PatternSet) -> tuple[RegistryEntry, ...]:
-    """Registry entries whose set lies in the same orbit as tset."""
-    rep = canonical_representative(tset)
-    return tuple(e for e in registry() if e.canonical == rep)

@@ -17,13 +17,11 @@ import itertools
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .core import PATTERNS, Pattern, PatternSet, SignedPermutation, pattern_of
+from .core import PATTERNS, PatternSet, SignedPermutation, pattern_of
 
 __all__ = [
-    "IDENTITY", "Orbit", "SymmetryElement", "all_orbits", "apply",
-    "apply_to_pattern", "apply_to_set", "barring", "canonical_representative",
-    "complement", "group_elements", "orbit_census_by_size", "orbit_of_set",
-    "reversal",
+    "Orbit", "SymmetryElement", "all_orbits", "apply", "apply_to_set", "barring",
+    "complement", "group_elements", "orbit_of_set", "reversal",
 ]
 
 
@@ -52,9 +50,6 @@ class SymmetryElement(NamedTuple):
     use_complement: bool = False
 
 
-IDENTITY = SymmetryElement()
-
-
 def apply(g: SymmetryElement, alpha: Sequence[int]) -> SignedPermutation:
     """Act on a signed permutation: complement, then barring, then reversal.
 
@@ -74,10 +69,6 @@ def apply(g: SymmetryElement, alpha: Sequence[int]) -> SignedPermutation:
 def _action_table(g: SymmetryElement) -> tuple[int, ...]:
     # how g permutes the eight pattern indices
     return tuple(pattern_of(apply(g, p.letters)).index for p in PATTERNS)
-
-
-def apply_to_pattern(g: SymmetryElement, p: Pattern) -> Pattern:
-    return PATTERNS[_action_table(g)[p.index]]
 
 
 @cache
@@ -119,7 +110,7 @@ def group_elements() -> frozenset[SymmetryElement]:
 class Orbit(NamedTuple):
     """An orbit of pattern sets under the symmetry group."""
 
-    representative: PatternSet
+    representative: PatternSet  # the member with the smallest mask
     members: frozenset[PatternSet]
 
 
@@ -127,11 +118,6 @@ def orbit_of_set(tset: PatternSet) -> Orbit:
     m = tset.mask
     images = {_set_images(g)[m] for g in group_elements()}
     return Orbit(PatternSet(min(images)), frozenset(map(PatternSet, images)))
-
-
-def canonical_representative(tset: PatternSet) -> PatternSet:
-    """The orbit member with the smallest mask."""
-    return orbit_of_set(tset).representative
 
 
 @cache
@@ -150,11 +136,3 @@ def all_orbits() -> tuple[Orbit, ...]:
         orbits.append(orb)
     orbits.sort(key=lambda o: (len(o.representative), o.representative.mask))
     return tuple(orbits)
-
-
-def orbit_census_by_size() -> dict[int, int]:
-    """How many orbits have representatives of each set size 0..8."""
-    counts = {k: 0 for k in range(9)}
-    for orb in all_orbits():
-        counts[len(orb.representative)] += 1
-    return counts

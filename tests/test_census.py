@@ -19,9 +19,9 @@ from signedperms import (
     all_orbits,
     export,
     load_cache,
+    orbit_of_set,
     run_census,
     verify_registry,
-    wilf_classes,
     write_cache,
 )
 from signedperms import census, cli, formulas
@@ -46,10 +46,16 @@ def assert_refused(data, tmp_path, orders, match=None):
 
 
 def record_for(table, text):
-    from signedperms import canonical_representative
-
-    rep = canonical_representative(PatternSet.parse(text))
+    rep = orbit_of_set(PatternSet.parse(text)).representative
     return next(r for r in table.records if r.representative == rep)
+
+
+def grouped(table, field):
+    # orbit ids grouped by a record field, in order of first appearance
+    groups = {}
+    for rec in table.records:
+        groups.setdefault(getattr(rec, field), []).append(rec.orbit_id)
+    return groups
 
 
 class TestRunCensus:
@@ -134,17 +140,14 @@ class TestRunCensus:
     def test_order_16_needs_no_cap(self):
         table = run_census(16)
         assert [rec.verification for rec in table.records] == ["verified"] * 58
-        assert len(wilf_classes(table)) == 33
+        assert len(grouped(table, "wilf_class")) == len(grouped(table, "sequence")) == 33
 
-    def test_wilf_class_assignment(self, table5):
-        classes = wilf_classes(table5)
-        # ids are dense, ordered by first appearance
-        flat = {}
-        for cid, ids in enumerate(classes):
-            for oid in ids:
-                flat[oid] = cid
-        for rec in table5.records:
-            assert rec.wilf_class == flat[rec.orbit_id]
+    def test_wilf_class_assignment(self):
+        table = run_census(6)
+        classes = grouped(table, "wilf_class")
+        # ids are dense, ordered by first appearance, one per sequence
+        assert list(classes) == list(range(len(classes)))
+        assert list(classes.values()) == list(grouped(table, "sequence").values())
 
     def test_wilf_examples(self, table5):
         singles = [r for r in table5.records if len(r.representative) == 1]
@@ -494,6 +497,17 @@ class TestSerialization:
             p.write_text(layout)
             with pytest.raises(SchemaError, match="not the census of order 1"):
                 load_cache(p)
+
+    def test_junk_cache_is_refused_uncounted(self, tmp_path, monkeypatch):
+        # a file that does not begin as export does at its n_max is refused
+        # before that census is counted, by the rule and by census --cache
+        def no_census(n_max):
+            raise AssertionError(f"counted the census of order {n_max}")
+
+        monkeypatch.setattr(census, "run_census", no_census)
+        assert_refused(b'{"n_max": 20}', tmp_path, [2], match=r"order 20: line 1 \(\)")
+        assert_refused(b'{\n  "n_max": 1,\n  "records": []\n}\n', tmp_path, [0, 2],
+                       match=r"order 1: line 3 \(records\)")
 
     def test_load_rejects_wrong_sequence_length(self, table5, tmp_path):
         doc = json.loads(export(table5).decode())

@@ -1,5 +1,6 @@
 """Command line behavior: output, determinism, exit codes, imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -653,22 +654,18 @@ class TestClosedStdout:
 
 class TestImports:
     API = {
-        "__version__", "all_orbits", "apply", "apply_to_pattern", "apply_to_set",
-        "avoids", "BACKTRACK", "barring", "canonical_representative",
-        "CapExceededError", "catalan", "CensusRecord", "CensusTable",
-        "complement", "containment_mask", "contains", "count",
-        "count_backtrack", "count_mask", "count_naive", "CountResult",
-        "counts_all_subsets", "DuplicateMagnitudeError", "EMPTY_SET",
-        "entries_for", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
-        "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements",
-        "IDENTITY", "iterate_Bn", "load_cache", "MagnitudeOutOfRangeError", "MASK",
-        "mask_histogram", "METHODS", "NAIVE", "Orbit",
-        "orbit_census_by_size", "orbit_of_set", "pair_index", "pair_pattern", "Pattern",
-        "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal",
-        "run_census", "SchemaError", "SignedPermutation", "SupersededClaim",
-        "SymmetryElement", "TRANSFER", "transfer_all_orders", "UnknownFormulaError",
-        "validate_permutation", "VerificationReport", "verify_registry", "wilf_classes",
-        "write_cache", "ZeroLetterError",
+        "__version__", "all_orbits", "apply", "apply_to_set", "avoids", "BACKTRACK",
+        "barring", "CapExceededError", "catalan", "CensusRecord", "CensusTable",
+        "complement", "containment_mask", "count", "count_backtrack", "count_mask",
+        "count_naive", "CountResult", "counts_all_subsets", "DuplicateMagnitudeError",
+        "EMPTY_SET", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
+        "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements", "iterate_Bn",
+        "load_cache", "MagnitudeOutOfRangeError", "MASK", "mask_histogram", "METHODS",
+        "NAIVE", "Orbit", "orbit_of_set", "pair_index", "Pattern", "pattern_of",
+        "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal", "run_census",
+        "SchemaError", "SignedPermutation", "SupersededClaim", "SymmetryElement",
+        "TRANSFER", "transfer_all_orders", "UnknownFormulaError", "validate_permutation",
+        "VerificationReport", "verify_registry", "write_cache", "ZeroLetterError",
     }
 
     def test_public_api_is_pinned(self):
@@ -680,6 +677,22 @@ class TestImports:
         modules = ("core", "symmetry", "enumeration", "formulas", "census")
         names = [n for m in modules for n in getattr(signedperms, m).__all__]
         assert len(names) == len(set(names)) == len(self.API) - 1  # __version__
+
+    def test_each_import_is_used(self):
+        # a name a module imports is used in it or listed in its __all__
+        for path in sorted(Path(signedperms.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            stem = path.stem
+            module = signedperms if stem == "__init__" else getattr(signedperms, stem)
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused = [
+                f"{path.name}:{node.lineno} {name}"
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names if alias.name != "*"
+                for name in [alias.asname or alias.name.partition(".")[0]]
+                if name not in used and name not in getattr(module, "__all__", ())
+            ]
+            assert unused == []
 
     def test_cli_loads_no_numpy(self):
         out = run_fresh(

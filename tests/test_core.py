@@ -21,10 +21,8 @@ from signedperms import (
     ZeroLetterError,
     avoids,
     containment_mask,
-    contains,
     iterate_Bn,
     pair_index,
-    pair_pattern,
     pattern_of,
     validate_permutation,
 )
@@ -102,18 +100,18 @@ class TestPatterns:
             PatternSet.from_patterns([letters])
 
     def test_pair_pattern_examples(self):
-        assert str(pair_pattern(4, 7)) == "1 2"
-        assert str(pair_pattern(7, 4)) == "2 1"
-        assert str(pair_pattern(-4, 7)) == "-1 2"
-        assert str(pair_pattern(4, -7)) == "1 -2"
-        assert str(pair_pattern(-4, -7)) == "-1 -2"
-        assert str(pair_pattern(7, -4)) == "2 -1"
-        assert str(pair_pattern(-7, 4)) == "-2 1"
-        assert str(pair_pattern(-7, -4)) == "-2 -1"
+        assert str(PATTERNS[pair_index(4, 7)]) == "1 2"
+        assert str(PATTERNS[pair_index(7, 4)]) == "2 1"
+        assert str(PATTERNS[pair_index(-4, 7)]) == "-1 2"
+        assert str(PATTERNS[pair_index(4, -7)]) == "1 -2"
+        assert str(PATTERNS[pair_index(-4, -7)]) == "-1 -2"
+        assert str(PATTERNS[pair_index(7, -4)]) == "2 -1"
+        assert str(PATTERNS[pair_index(-7, 4)]) == "-2 1"
+        assert str(PATTERNS[pair_index(-7, -4)]) == "-2 -1"
 
     def test_equal_magnitudes_rejected(self):
         with pytest.raises(EqualMagnitudesError):
-            pair_pattern(2, -2)
+            pair_index(2, -2)
         with pytest.raises(EqualMagnitudesError):
             pair_index(3, 3)
 
@@ -246,10 +244,11 @@ class TestContainment:
         )
 
     def test_contains_matches_mask(self):
+        # w contains p when it does not avoid the singleton {p}
         for w in all_signed_perms(3):
             mask = containment_mask(w)
             for p in PATTERNS:
-                assert contains(w, p) == (p in mask)
+                assert (not avoids(w, PatternSet(1 << p.index))) == (p in mask)
 
     def test_mask_matches_oracle_exhaustively(self):
         for n in range(5):
