@@ -5,7 +5,8 @@ closed form on its claimed range, and groups orbits with identical
 sequences into Wilf classes.  The table is written to census6.json next to
 this script, as the CLI's --cache flag writes it: such a file is valid only
 if it is, byte for byte, a fresh census at its own order, and load_cache
-counts that census again to refuse any other that begins as one does.
+counts that census again to refuse any other that begins as one does and
+is as long as one.
 """
 
 from pathlib import Path

@@ -10,7 +10,7 @@ formula checks from one loop, _check_registry.  export writes a table as
 JSON or CSV.  A census file is valid only if its bytes are export of a fresh
 census at its own n_max: _check_cache applies this one rule for load_cache and
 census --cache, counting that census only for a file that begins as its export
-does, and raises SchemaError.
+does and is as long as any census of its order, and raises SchemaError.
 """
 
 import json
@@ -39,18 +39,17 @@ class SchemaError(ValueError):
 VERIFIED = "verified"
 MISMATCH = "mismatch"
 UNCHECKED = "unchecked"
-ENUMERATION_ONLY = "enumeration_only"
 
 
 class CensusRecord(NamedTuple):
     """One orbit's row: membership, counts, and verification outcome.
 
     sequence[k] is the number of order-k signed permutations avoiding any
-    (equivalently every) member of the orbit.  verification is "verified"
-    when every attached formula matches the sequence on [min_n, n_max] and
-    one such range is not empty, "unchecked" when all are empty, "mismatch"
-    with details when a formula disagrees, and "enumeration_only" when no
-    formula is registered for the orbit.
+    (equivalently every) member of the orbit.  Every orbit has a registered
+    formula, and verification is "verified" when every attached formula
+    matches the sequence on [min_n, n_max] and one such range is not empty,
+    "unchecked" when all are empty, and "mismatch" with details when a
+    formula disagrees.
     """
 
     orbit_id: int
@@ -134,18 +133,15 @@ def run_census(n_max: int) -> CensusTable:
                 raise RuntimeError(
                     f"orbit of {orb.representative} has unequal counts at order {n}"
                 )
-        checks = by_rep.get(rep_mask, [])
+        checks = by_rep[rep_mask]
         details = tuple(
             f"{c.entry.name}/{c.entry.formula} at {m}"
             for c in checks
             for m in c.mismatches
         )
         # one mismatch fails an orbit, and one checked range verifies it
-        statuses = {c.status for c in checks}
-        verification = next(
-            (s for s in (MISMATCH, VERIFIED, UNCHECKED) if s in statuses),
-            ENUMERATION_ONLY,
-        )
+        verification = min((c.status for c in checks),
+                           key=(MISMATCH, VERIFIED, UNCHECKED).index)
         records.append(
             CensusRecord(
                 orbit_id=orbit_id,
@@ -261,11 +257,18 @@ def _check_cache(data: bytes) -> CensusTable:
     try:
         n_max = json.loads(data)["n_max"]  # JSON is UTF-8 in any locale
         _check_budget(n_max, 256)  # a deep order is refused before anything is counted
-    except (ValueError, LookupError, TypeError) as exc:
+    except (ValueError, LookupError, TypeError, RecursionError) as exc:
         raise SchemaError(f"cache needs JSON with a valid n_max: {exc}") from None
-    # export's first lines: a file that does not begin with them is refused uncounted
+    # a file is counted only if it begins with export's first lines and is as
+    # long as any census of its order: each order adds a line of 13 bytes or
+    # more to each record, and from order 0 only verification can get shorter,
+    # by one byte ("unchecked" to "verified")
     want = b'{\n  "n_max": %d,\n  "records": [\n' % n_max
     if data.startswith(want):
+        least = len(export(run_census(0))) + 12 * len(all_orbits()) * n_max
+        if len(data) < least:
+            raise SchemaError(f"cache is not the census of order {n_max}: it has "
+                              f"{len(data)} bytes, and that census at least {least}")
         want = export(table := run_census(n_max))
     if data != want:
         raise SchemaError(f"cache is not the census of order {n_max}: "

@@ -75,30 +75,21 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:
-    rows = []
-    for orbit_id, orb in enumerate(all_orbits()):
-        size = len(orb.representative)
-        if args.size is not None and size != args.size:
-            continue
-        rows.append((orbit_id, size, len(orb.members), orb.representative.text()))
+    fields = ("orbit_id", "size", "orbit_size", "representative")
+    rows = [
+        (orbit_id, len(orb.representative), len(orb.members), orb.representative.text())
+        for orbit_id, orb in enumerate(all_orbits())
+        if args.size in (None, len(orb.representative))
+    ]
     if args.format == "json":
-        doc = [
-            {
-                "orbit_id": orbit_id,
-                "size": size,
-                "orbit_size": members,
-                "representative": rep,
-            }
-            for orbit_id, size, members, rep in rows
-        ]
-        print(json.dumps(doc, indent=2))
+        print(json.dumps([dict(zip(fields, row)) for row in rows], indent=2))
     elif args.format == "csv":
-        print("orbit_id,size,orbit_size,representative")
+        print(",".join(fields))
         for orbit_id, size, members, rep in rows:
             print(f'{orbit_id},{size},{members},"{rep}"')
     else:
-        for orbit_id, size, members, rep in rows:
-            print(f"{orbit_id}\t{size}\t{members}\t{rep}")
+        for row in rows:
+            print(*row, sep="\t")
     return 0
 
 

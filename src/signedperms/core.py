@@ -27,11 +27,10 @@ from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "EMPTY_SET", "FULL_SET", "PATTERNS", "CapExceededError",
-    "DuplicateMagnitudeError", "EqualMagnitudesError", "MagnitudeOutOfRangeError",
-    "Pattern", "PatternSet", "SignedPermutation", "ZeroLetterError", "avoids",
-    "containment_mask", "iterate_Bn", "pair_index", "pattern_of",
-    "validate_permutation",
+    "PATTERNS", "CapExceededError", "DuplicateMagnitudeError", "EqualMagnitudesError",
+    "MagnitudeOutOfRangeError", "Pattern", "PatternSet", "SignedPermutation",
+    "ZeroLetterError", "avoids", "containment_mask", "iterate_Bn", "pair_index",
+    "pattern_of", "validate_permutation",
 ]
 
 class ZeroLetterError(ValueError):
@@ -221,17 +220,6 @@ class PatternSet:
         return NotImplemented
 
     @classmethod
-    def from_patterns(
-        cls, patterns: Iterable[Pattern | Sequence[int]]
-    ) -> "PatternSet":
-        mask = 0
-        for p in patterns:
-            if not isinstance(p, Pattern):
-                p = pattern_of(p)
-            mask |= 1 << p.index
-        return cls(mask)
-
-    @classmethod
     def parse(cls, text: str) -> "PatternSet":
         """Parse a comma-separated list of patterns, e.g. "1 2, -2 1".
 
@@ -284,10 +272,6 @@ class PatternSet:
 
     def __str__(self) -> str:
         return "{" + self.text() + "}"
-
-
-EMPTY_SET = PatternSet(0)
-FULL_SET = PatternSet(0xFF)
 
 
 def containment_mask(alpha: Sequence[int]) -> PatternSet:

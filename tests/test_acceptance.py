@@ -14,7 +14,6 @@ from collections import Counter
 import pytest
 
 from signedperms import (
-    EMPTY_SET,
     PATTERNS,
     PatternSet,
     all_orbits,

@@ -21,6 +21,7 @@ from signedperms import (
     load_cache,
     orbit_of_set,
     run_census,
+    transfer_all_orders,
     verify_registry,
     write_cache,
 )
@@ -230,9 +231,10 @@ class TestRunCensus:
             census._check_cache(export(cache))
 
     def test_cache_with_short_sequences(self, tmp_path):
-        # n_max claims more counts than the records hold, or fewer
+        # n_max claims more counts than the records hold, which leaves the
+        # file shorter than any census of that order, or fewer
         short = export(run_census(4)._replace(n_max=6))
-        assert_refused(short, tmp_path, (4, 8), r"\(sequence\)")
+        assert_refused(short, tmp_path, (4, 8), r"order 6: it has \d+ bytes")
         with pytest.raises(SchemaError, match=r"\(sequence\)"):
             census._check_cache(export(run_census(6)._replace(n_max=4)))
 
@@ -509,6 +511,27 @@ class TestSerialization:
         assert_refused(b'{\n  "n_max": 1,\n  "records": []\n}\n', tmp_path, [0, 2],
                        match=r"order 1: line 3 \(records\)")
 
+    def test_deeply_nested_cache_is_refused(self, tmp_path):
+        # json.loads raises RecursionError here, which is a bad file, not a
+        # verification failure
+        data = b'{"n_max": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+        assert_refused(data, tmp_path, [2], match="cache needs JSON")
+
+    def test_short_cache_is_refused_uncounted(self, tmp_path, monkeypatch):
+        # a file that begins as export does but is shorter than any census of
+        # the order it claims is refused before that census is counted
+        orders = []
+
+        def recording(n_max, masks):
+            orders.append(n_max)
+            return transfer_all_orders(n_max, masks)
+
+        monkeypatch.setattr(census, "transfer_all_orders", recording)
+        head = b'{\n  "n_max": 20,\n  "records": [\n'
+        for data in (head + b"1]}", head + b" " * 50_000 + b"1]}"):
+            assert_refused(data, tmp_path, [2], match=r"order 20: it has \d+ bytes")
+        assert max(orders) == 2
+
     def test_load_rejects_wrong_sequence_length(self, table5, tmp_path):
         doc = json.loads(export(table5).decode())
         doc["records"][0]["sequence"].append("7")
@@ -553,7 +576,8 @@ class TestSerialization:
     def test_load_rejects_mistyped_fields(self, tmp_path, key, value):
         # each file differs from a valid order-1 census in one field, and is
         # written in export's layout, so it fails on that field, which the
-        # message names
+        # message names; members of a line or two leave the file shorter than
+        # any census of order 1, which is refused by its length
         doc = json.loads(export(run_census(1)).decode())
         if key == "n_max":
             doc[key] = value
@@ -561,7 +585,8 @@ class TestSerialization:
             doc["records"][1][key] = value
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc, indent=2) + "\n")
-        with pytest.raises(SchemaError, match=key):
+        with pytest.raises(SchemaError,
+                           match=r"order 1: it has \d+ bytes" if key == "members" else key):
             load_cache(p)
 
     @pytest.mark.skipif(

@@ -658,8 +658,8 @@ class TestImports:
         "barring", "CapExceededError", "catalan", "CensusRecord", "CensusTable",
         "complement", "containment_mask", "count", "count_backtrack", "count_mask",
         "count_naive", "CountResult", "counts_all_subsets", "DuplicateMagnitudeError",
-        "EMPTY_SET", "EntryCheck", "EqualMagnitudesError", "eval_formula", "export",
-        "fibonacci", "FORMULA_IDS", "FULL_SET", "group_elements", "iterate_Bn",
+        "EntryCheck", "EqualMagnitudesError", "eval_formula", "export", "fibonacci",
+        "FORMULA_IDS", "group_elements", "iterate_Bn",
         "load_cache", "MagnitudeOutOfRangeError", "MASK", "mask_histogram", "METHODS",
         "NAIVE", "Orbit", "orbit_of_set", "pair_index", "Pattern", "pattern_of",
         "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal", "run_census",

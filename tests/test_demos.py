@@ -17,6 +17,7 @@ from signedperms.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ROOT / "demos"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run_demo(script):
@@ -40,6 +41,9 @@ def run_demo(script):
 def test_demo_runs(name):
     done = run_demo(DEMOS / name)
     assert done.returncode == 0, done.stderr
+    # each demo's output is pinned, but 03's, which prints timings
+    if name != "03_engines_race.py":
+        assert done.stdout == (GOLDEN / f"demo_{name[:-3]}.txt").read_text()
 
 
 def test_full_census_demo_writes_its_table(tmp_path):
@@ -48,6 +52,7 @@ def test_full_census_demo_writes_its_table(tmp_path):
     shutil.copy(DEMOS / script.name, script)
     done = run_demo(script)
     assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "demo_05_full_census.txt").read_text()
     assert load_cache(tmp_path / "census6.json").n_max == 6
 
 

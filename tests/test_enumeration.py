@@ -16,9 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signedperms import (
-    EMPTY_SET,
     PATTERNS,
-    FULL_SET,
     CapExceededError,
     PatternSet,
     avoids,
@@ -75,11 +73,11 @@ class TestNaive:
 
     def test_empty_set_counts_everything(self):
         for n in range(5):
-            assert count_naive(n, EMPTY_SET).value == 2**n * math.factorial(n)
+            assert count_naive(n, PatternSet(0)).value == 2**n * math.factorial(n)
 
     def test_result_fields(self):
-        r = count_naive(3, FULL_SET)
-        assert (r.n, r.patterns, r.method) == (3, FULL_SET, "naive")
+        r = count_naive(3, PatternSet(0xFF))
+        assert (r.n, r.patterns, r.method) == (3, PatternSet(0xFF), "naive")
         assert r.value == 0
 
     def test_matches_definitional_oracle(self):
@@ -107,9 +105,9 @@ class TestBacktrack:
         assert count_naive(4, other).value == 11
 
     def test_order_zero_and_one(self):
-        assert count_backtrack(0, FULL_SET).value == 1
-        assert count_backtrack(1, FULL_SET).value == 2
-        assert count_backtrack(0, EMPTY_SET).value == 1
+        assert count_backtrack(0, PatternSet(0xFF)).value == 1
+        assert count_backtrack(1, PatternSet(0xFF)).value == 2
+        assert count_backtrack(0, PatternSet(0)).value == 1
 
     def test_agrees_with_naive_exhaustively(self):
         for n in range(4):
@@ -175,9 +173,9 @@ class TestCountsAllSubsets:
 
     def test_known_values(self):
         per3 = counts_all_subsets(3)
-        assert per3[EMPTY_SET] == 48
+        assert per3[PatternSet(0)] == 48
         assert per3[PatternSet.parse("1 2")] == 34
-        assert per3[FULL_SET] == 0
+        assert per3[PatternSet(0xFF)] == 0
 
     def test_structure_at_order_two(self):
         per2 = counts_all_subsets(2)
@@ -218,7 +216,7 @@ class TestTransfer:
     def test_closed_forms_at_order_12(self):
         per12 = transfer_to(12)[12]
         t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
-        assert per12[EMPTY_SET] == 2**12 * math.factorial(12)
+        assert per12[PatternSet(0)] == 2**12 * math.factorial(12)
         assert per12[t2] == math.comb(26, 13) // 14
         assert all(type(v) is int for v in per12.values())
 
@@ -235,8 +233,8 @@ class TestTransfer:
         per_order = transfer_to(14)
         # field 0 holds the largest value the width must fit, the top field
         # is where a carry out of a lower field would land
-        assert per_order[14][EMPTY_SET] == 2**14 * math.factorial(14)
-        assert [per_order[n][FULL_SET] for n in range(15)] == [1, 2] + [0] * 13
+        assert per_order[14][PatternSet(0)] == 2**14 * math.factorial(14)
+        assert [per_order[n][PatternSet(0xFF)] for n in range(15)] == [1, 2] + [0] * 13
         assert all(type(v) is int for per in per_order for v in per.values())
 
     def test_adding_patterns_never_helps_at_order_10(self):
@@ -396,7 +394,7 @@ class TestDispatch:
 
     def test_unknown_method(self):
         with pytest.raises(ValueError):
-            count(2, EMPTY_SET, method="magic")
+            count(2, PatternSet(0), method="magic")
 
     def test_caps_everywhere(self):
         # naive and mask visit all 2^n n! words, over the budget from order 10;
@@ -410,14 +408,14 @@ class TestDispatch:
             counts_all_subsets(10)
         for fn in (count_naive, count_backtrack, count_mask):
             with pytest.raises(ValueError):
-                fn(-1, EMPTY_SET)
+                fn(-1, PatternSet(0))
 
     @pytest.mark.parametrize("n", [True, 2.0, 1.5])
     @pytest.mark.parametrize("call", [
         lambda n: transfer_all_orders(n, [0]),
-        lambda n: count_naive(n, EMPTY_SET),
-        lambda n: count_backtrack(n, EMPTY_SET),
-        lambda n: count_mask(n, EMPTY_SET),
+        lambda n: count_naive(n, PatternSet(0)),
+        lambda n: count_backtrack(n, PatternSet(0)),
+        lambda n: count_mask(n, PatternSet(0)),
         iterate_Bn,
         run_census,
         verify_registry,
@@ -453,8 +451,8 @@ def backtrack_total(n: int, tset: PatternSet) -> int:
 
 
 class TestWorkBudget:
-    PREMISE_SETS = [EMPTY_SET, PatternSet.parse("1 2"),
-                    PatternSet.parse(NAMED_TRIPLES["T_2"]), FULL_SET]
+    PREMISE_SETS = [PatternSet(0), PatternSet.parse("1 2"),
+                    PatternSet.parse(NAMED_TRIPLES["T_2"]), PatternSet(0xFF)]
 
     def test_budget_is_order_9(self):
         assert core._WORK_BUDGET == 2**9 * math.factorial(9) == 185_794_560
@@ -483,9 +481,9 @@ class TestWorkBudget:
     def test_a_count_of_0_ends_the_work(self):
         # no two letters avoid all eight patterns, so the only prefixes are
         # the empty one and the 2 * 78 single letters
-        assert list(enumeration._backtrack_work(78, FULL_SET.mask)) == [1, 1 + 2 * 78]
+        assert list(enumeration._backtrack_work(78, 0xFF)) == [1, 1 + 2 * 78]
         with prefix_visits() as visits:
-            assert count_backtrack(78, FULL_SET).value == 0
+            assert count_backtrack(78, PatternSet(0xFF)).value == 0
         assert visits[0] == 1 + 2 * 78
 
     def test_refusal_makes_short_passes(self, monkeypatch):
@@ -510,7 +508,7 @@ class TestWorkBudget:
         for tset in ALL_SETS:
             core._check_work(9, enumeration._backtrack_work(9, tset.mask))
         # the empty set is the most work
-        assert backtrack_total(9, EMPTY_SET) == 120_528_883
+        assert backtrack_total(9, PatternSet(0)) == 120_528_883
 
     @pytest.mark.parametrize("text, reach", [
         (NAMED_TRIPLES["T_2"], 13),
