@@ -26,7 +26,7 @@ def main() -> None:
     print()
 
     w = validate_permutation([2, -1, 3])
-    print(f"word: {w.oneline()}")
+    print(f"word: {' '.join(map(str, w))}")
     print(f"  pair (positions 0,1): {PATTERNS[pair_index(w[0], w[1])]}")
     print(f"  pair (positions 0,2): {PATTERNS[pair_index(w[0], w[2])]}")
     print(f"  pair (positions 1,2): {PATTERNS[pair_index(w[1], w[2])]}")
@@ -34,14 +34,14 @@ def main() -> None:
     print()
 
     tset = PatternSet.parse("1 2, -1 2")
-    print(f"does {w.oneline()} avoid {tset}?", avoids(w, tset))
+    print(f"does {' '.join(map(str, w))} avoid {tset}?", avoids(w, tset))
     print(f"does it contain '2 1'?", PATTERNS[1] in containment_mask(w))
     print()
 
     print(f"order-3 words avoiding {tset}:")
     hits = [v for v in iterate_Bn(3) if avoids(v, tset)]
     for v in hits:
-        print(f"  {v.oneline()}")
+        print(f"  {' '.join(map(str, v))}")
     print(f"total: {len(hits)} of {2**3 * 6}")
 
 

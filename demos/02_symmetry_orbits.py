@@ -32,12 +32,12 @@ def flags(g) -> str:
 
 def main() -> None:
     w = validate_permutation([2, -1, 3])
-    print(f"the group, acting on {w.oneline()}:")
+    print(f"the group, acting on {' '.join(map(str, w))}:")
     for g in sorted(
         group_elements(),
         key=lambda g: (g.use_complement, g.use_barring, g.use_reversal),
     ):
-        print(f"  {apply(g, w).oneline():>10}   ({flags(g)})")
+        print(f"  {' '.join(map(str, apply(g, w))):>10}   ({flags(g)})")
     print()
 
     tset = PatternSet.parse("1 2, 1 -2, -2 -1")

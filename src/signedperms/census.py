@@ -10,7 +10,7 @@ formula checks from one loop, _check_registry.  export writes a table as
 JSON or CSV.  A census file is valid only if its bytes are export of a fresh
 census at its own n_max: _check_cache applies this one rule for load_cache and
 census --cache, counting that census only for a file that begins as its export
-does and is as long as any census of its order, and raises SchemaError.
+does and is as long as any census of its order, and raises ValueError.
 """
 
 import json
@@ -26,14 +26,9 @@ from .formulas import RegistryEntry, eval_formula, registry
 from .symmetry import all_orbits
 
 __all__ = [
-    "CensusRecord", "CensusTable", "EntryCheck", "SchemaError", "SupersededClaim",
-    "VerificationReport", "export", "load_cache", "run_census", "verify_registry",
-    "write_cache",
+    "CensusRecord", "CensusTable", "EntryCheck", "SupersededClaim", "VerificationReport",
+    "export", "load_cache", "run_census", "verify_registry", "write_cache",
 ]
-
-
-class SchemaError(ValueError):
-    """A census file does not match the expected structure."""
 
 
 VERIFIED = "verified"
@@ -258,7 +253,7 @@ def _check_cache(data: bytes) -> CensusTable:
         n_max = json.loads(data)["n_max"]  # JSON is UTF-8 in any locale
         _check_budget(n_max, 256)  # a deep order is refused before anything is counted
     except (ValueError, LookupError, TypeError, RecursionError) as exc:
-        raise SchemaError(f"cache needs JSON with a valid n_max: {exc}") from None
+        raise ValueError(f"cache needs JSON with a valid n_max: {exc}") from None
     # a file is counted only if it begins with export's first lines and is as
     # long as any census of its order: each order adds a line of 13 bytes or
     # more to each record, and from order 0 only verification can get shorter,
@@ -267,18 +262,21 @@ def _check_cache(data: bytes) -> CensusTable:
     if data.startswith(want):
         least = len(export(run_census(0))) + 12 * len(all_orbits()) * n_max
         if len(data) < least:
-            raise SchemaError(f"cache is not the census of order {n_max}: it has "
-                              f"{len(data)} bytes, and that census at least {least}")
+            raise ValueError(f"cache is not the census of order {n_max}: it has "
+                             f"{len(data)} bytes, and that census at least {least}")
         want = export(table := run_census(n_max))
     if data != want:
-        raise SchemaError(f"cache is not the census of order {n_max}: "
-                          f"{_first_difference(data, want)}")
+        raise ValueError(f"cache is not the census of order {n_max}: "
+                         f"{_first_difference(data, want)}")
     return table
 
 
 def load_cache(path: str | Path) -> CensusTable:
-    """Read a census file: SchemaError unless it is export of a fresh census at its order."""
-    return _check_cache(Path(path).read_bytes())
+    """Read a census file: ValueError unless it is export of a fresh census at its order."""
+    path = Path(path)
+    if path.exists() and not path.is_file():  # a device or a pipe may never end
+        raise ValueError(f"{path} is not a regular file")
+    return _check_cache(path.read_bytes())
 
 
 def write_cache(table: CensusTable, path: str | Path) -> None:

@@ -96,6 +96,8 @@ def _cmd_orbits(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.cache == "":
         raise ValueError("--cache needs a file name")
+    if args.cache is not None and os.path.exists(args.cache) and not os.path.isfile(args.cache):
+        raise ValueError(f"--cache {args.cache} is not a regular file")
     table = run_census(args.n_max)
     data = export(table, args.format)
     if args.cache is not None:

@@ -27,31 +27,9 @@ from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
-    "PATTERNS", "CapExceededError", "DuplicateMagnitudeError", "EqualMagnitudesError",
-    "MagnitudeOutOfRangeError", "Pattern", "PatternSet", "SignedPermutation",
-    "ZeroLetterError", "avoids", "containment_mask", "iterate_Bn", "pair_index",
-    "pattern_of", "validate_permutation",
+    "PATTERNS", "Pattern", "PatternSet", "avoids", "containment_mask", "iterate_Bn",
+    "pair_index", "pattern_of", "validate_permutation",
 ]
-
-class ZeroLetterError(ValueError):
-    """A letter was encoded as 0, which names no symbol."""
-
-
-class DuplicateMagnitudeError(ValueError):
-    """The same symbol appears more than once, bars notwithstanding."""
-
-
-class MagnitudeOutOfRangeError(ValueError):
-    """The magnitudes do not form exactly {1..n}."""
-
-
-class EqualMagnitudesError(ValueError):
-    """A letter pair with equal magnitudes realizes no pattern."""
-
-
-class CapExceededError(ValueError):
-    """An order is over an oracle's work budget or the transfer engine's memory budget."""
-
 
 # the most words or prefixes an oracle visits: all 2^9 9! words of order 9
 _WORK_BUDGET = (1 << 9) * math.factorial(9)
@@ -69,8 +47,8 @@ def _check_work(n: int, work: Iterable[int]) -> None:
     # totals are read only until one is over
     _check_order(n)
     if any(w > _WORK_BUDGET for w in work):
-        raise CapExceededError(f"order {n} is over the oracles' work budget of "
-                               f"{_WORK_BUDGET} words or prefixes")
+        raise ValueError(f"order {n} is over the oracles' work budget of "
+                         f"{_WORK_BUDGET} words or prefixes")
 
 
 def _check_group(n: int) -> None:
@@ -79,27 +57,11 @@ def _check_group(n: int) -> None:
     _check_work(n, itertools.accumulate(range(2, 2 * n + 1, 2), operator.mul))
 
 
-class SignedPermutation(tuple):
-    """An immutable word of signed letters.
+def validate_permutation(raw: Sequence[int]) -> tuple[int, ...]:
+    """Check that raw encodes a signed permutation and return its letters.
 
-    Construction does not validate; use validate_permutation() to build one
-    from untrusted input.
-    """
-
-    __slots__ = ()
-
-    def oneline(self) -> str:
-        return " ".join(str(x) for x in self)
-
-    def __repr__(self) -> str:
-        return f"SignedPermutation({list(self)!r})"
-
-
-def validate_permutation(raw: Sequence[int]) -> SignedPermutation:
-    """Check that raw encodes a signed permutation and wrap it.
-
-    Raises TypeError for a letter that is not an int, and ZeroLetterError,
-    DuplicateMagnitudeError, or MagnitudeOutOfRangeError as appropriate.
+    Raises TypeError for a letter that is not an int, and ValueError for a
+    letter 0, a magnitude past the length, or a magnitude seen twice.
     """
     letters = tuple(raw)
     n = len(letters)
@@ -108,17 +70,15 @@ def validate_permutation(raw: Sequence[int]) -> SignedPermutation:
         if type(x) is not int:  # a bool or a float compares equal to an int
             raise TypeError(f"letter must be an int, got {x!r}")
         if x == 0:
-            raise ZeroLetterError("letter 0 names no symbol")
+            raise ValueError("letter 0 names no symbol")
         m = abs(x)
         if m > n:
-            raise MagnitudeOutOfRangeError(
-                f"magnitude {m} out of range for order {n}"
-            )
+            raise ValueError(f"magnitude {m} out of range for order {n}")
         bit = 1 << m
         if seen & bit:
-            raise DuplicateMagnitudeError(f"magnitude {m} appears twice")
+            raise ValueError(f"magnitude {m} appears twice")
         seen |= bit
-    return SignedPermutation(letters)
+    return letters
 
 
 _PATTERN_LETTERS = (
@@ -137,17 +97,15 @@ class Pattern(NamedTuple):
     """One of the eight length-2 signed patterns, with its fixed index."""
 
     index: int
-    letters: SignedPermutation
+    letters: tuple[int, int]
 
     def __str__(self) -> str:
-        return self.letters.oneline()
+        return " ".join(map(str, self.letters))
 
 
-PATTERNS: tuple[Pattern, ...] = tuple(
-    Pattern(i, SignedPermutation(p)) for i, p in enumerate(_PATTERN_LETTERS)
-)
+PATTERNS: tuple[Pattern, ...] = tuple(Pattern(i, p) for i, p in enumerate(_PATTERN_LETTERS))
 
-_PATTERN_BY_LETTERS = {tuple(p.letters): p for p in PATTERNS}
+_PATTERN_BY_LETTERS = {p.letters: p for p in PATTERNS}
 
 # pair type -> pattern index, keyed by (first barred)<<2 | (second barred)<<1
 # | (magnitudes ascending)
@@ -158,7 +116,7 @@ def pair_index(x: int, y: int) -> int:
     """Index of the pattern realized by the letter pair (x, y), in order."""
     mx, my = abs(x), abs(y)
     if mx == my:
-        raise EqualMagnitudesError(f"letters {x} and {y} share a magnitude")
+        raise ValueError(f"letters {x} and {y} share a magnitude")
     return _PAIR_INDEX[((x < 0) << 2) | ((y < 0) << 1) | (mx < my)]
 
 
@@ -307,7 +265,7 @@ def avoids(alpha: Sequence[int], tset: PatternSet) -> bool:
     return True
 
 
-def iterate_Bn(n: int) -> Iterator[SignedPermutation]:
+def iterate_Bn(n: int) -> Iterator[tuple[int, ...]]:
     """All 2^n * n! signed permutations of order n.
 
     Order: magnitude words lexicographically, and for each word all 2^n
@@ -316,7 +274,7 @@ def iterate_Bn(n: int) -> Iterator[SignedPermutation]:
     """
     _check_group(n)
     return (
-        SignedPermutation(-m if signs >> i & 1 else m for i, m in enumerate(base))
+        tuple(-m if signs >> i & 1 else m for i, m in enumerate(base))
         for base in itertools.permutations(range(1, n + 1))
         for signs in range(1 << n)
     )

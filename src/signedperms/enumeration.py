@@ -27,8 +27,8 @@ import math
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
-    _PAIR_INDEX, CapExceededError, PatternSet, _check_group, _check_order, _check_work,
-    avoids, iterate_Bn, pair_index,
+    _PAIR_INDEX, PatternSet, _check_group, _check_order, _check_work, avoids, iterate_Bn,
+    pair_index,
 )
 
 __all__ = [
@@ -144,8 +144,8 @@ _BUDGET_BYTES = 2**31
 
 
 def _check_budget(n_max: int, sets: int) -> None:
-    # ValueError for a bad order, and CapExceededError, at once, for an order
-    # whose estimated memory for a pass over this many sets is over budget.
+    # ValueError, at once, for a bad order and for an order whose estimated
+    # memory for a pass over this many sets is over budget.
     # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
     # and per reached state an int of fields of about log2(2^n_max n_max!)
     # bits (lgamma, not factorial, answers any order at once) and 64 bytes, a
@@ -160,7 +160,7 @@ def _check_budget(n_max: int, sets: int) -> None:
     bits = n + math.lgamma(n + 1) / math.log(2)
     estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (sets * bits / 8 + 64)
     if estimate > _BUDGET_BYTES:
-        raise CapExceededError(
+        raise ValueError(
             f"order {n_max} on {sets} set(s) needs an estimated "
             f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
         )
@@ -171,9 +171,8 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
 
     Entry n of the result lists the order-n counts in the order of masks,
     a sequence of 8-bit pattern-set masks (repeats allowed).  A negative
-    n_max or a mask outside 0..255 raises ValueError, and an n_max whose
-    estimated memory for these masks is over _BUDGET_BYTES raises
-    CapExceededError, before counting.
+    n_max, a mask outside 0..255, or an n_max whose estimated memory for
+    these masks is over _BUDGET_BYTES raises ValueError before counting.
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number

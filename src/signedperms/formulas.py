@@ -17,13 +17,8 @@ from .core import PatternSet, _check_order
 from .symmetry import orbit_of_set
 
 __all__ = [
-    "FORMULA_IDS", "RegistryEntry", "UnknownFormulaError", "catalan", "eval_formula",
-    "fibonacci", "registry",
+    "FORMULA_IDS", "RegistryEntry", "catalan", "eval_formula", "fibonacci", "registry",
 ]
-
-
-class UnknownFormulaError(ValueError):
-    """No formula is registered under that id."""
 
 
 def catalan(m: int) -> int:
@@ -180,7 +175,7 @@ def eval_formula(formula_id: str, n: int) -> int:
     try:
         _, fn = _EVALUATORS[formula_id]
     except KeyError:
-        raise UnknownFormulaError(f"unknown formula id {formula_id!r}") from None
+        raise ValueError(f"unknown formula id {formula_id!r}") from None
     return fn(n)
 
 

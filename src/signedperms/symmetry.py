@@ -17,7 +17,7 @@ import itertools
 from functools import cache
 from typing import NamedTuple, Sequence
 
-from .core import PATTERNS, PatternSet, SignedPermutation, pattern_of
+from .core import PATTERNS, PatternSet, pattern_of
 
 __all__ = [
     "Orbit", "SymmetryElement", "all_orbits", "apply", "apply_to_set", "barring",
@@ -25,21 +25,19 @@ __all__ = [
 ]
 
 
-def reversal(alpha: Sequence[int]) -> SignedPermutation:
-    return SignedPermutation(reversed(tuple(alpha)))
+def reversal(alpha: Sequence[int]) -> tuple[int, ...]:
+    return tuple(alpha)[::-1]
 
 
-def barring(alpha: Sequence[int]) -> SignedPermutation:
-    return SignedPermutation(-x for x in alpha)
+def barring(alpha: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-x for x in alpha)
 
 
-def complement(alpha: Sequence[int]) -> SignedPermutation:
+def complement(alpha: Sequence[int]) -> tuple[int, ...]:
     """Send each magnitude m to n + 1 - m; bars stay where they are."""
     letters = tuple(alpha)
     n = len(letters)
-    return SignedPermutation(
-        (n + 1 - x) if x > 0 else -(n + 1 + x) for x in letters
-    )
+    return tuple((n + 1 - x) if x > 0 else -(n + 1 + x) for x in letters)
 
 
 class SymmetryElement(NamedTuple):
@@ -50,12 +48,12 @@ class SymmetryElement(NamedTuple):
     use_complement: bool = False
 
 
-def apply(g: SymmetryElement, alpha: Sequence[int]) -> SignedPermutation:
+def apply(g: SymmetryElement, alpha: Sequence[int]) -> tuple[int, ...]:
     """Act on a signed permutation: complement, then barring, then reversal.
 
     The three generators commute, so the application order is immaterial.
     """
-    beta = SignedPermutation(tuple(alpha))
+    beta = tuple(alpha)
     if g.use_complement:
         beta = complement(beta)
     if g.use_barring:

@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import itertools
 import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import signedperms
-from signedperms import PATTERNS, PatternSet, SignedPermutation
+from signedperms import PATTERNS, PatternSet
 
 
 def fresh_env() -> dict[str, str]:
@@ -20,6 +24,46 @@ def fresh_env() -> dict[str, str]:
     src = str(Path(signedperms.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def run_bounded(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args in a new interpreter, limited in time and memory.
+
+    A regression that reads an endless file or waits on a pipe fails the
+    test, instead of hanging it or filling memory.
+    """
+
+    def limit_memory() -> None:
+        import resource
+
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(hard, 1 << 30)
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+    return subprocess.run(
+        [sys.executable, *args], env=fresh_env(), capture_output=True, timeout=10,
+        preexec_fn=limit_memory if os.name == "posix" else None,
+    )
+
+
+def not_a_regular_file(kind: str, tmp_path: Path) -> Path:
+    """An existing path that is no regular file: a device, a FIFO or a directory."""
+    if kind == "device":
+        path = Path("/dev/zero")
+        if not path.exists():
+            pytest.skip("no /dev/zero")
+    elif kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs off POSIX")
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+    else:
+        path = tmp_path / "dir"
+        path.mkdir()
+    return path
+
+
+NOT_REGULAR = ("device", "fifo", "directory")
 
 
 def oracle_pair_matches(x: int, y: int, pat: tuple[int, int]) -> bool:
@@ -58,7 +102,7 @@ def oracle_count(n: int, tset: PatternSet) -> int:
 def all_signed_perms(n: int):
     for base in itertools.permutations(range(1, n + 1)):
         for signs in itertools.product((1, -1), repeat=n):
-            yield SignedPermutation(s * m for s, m in zip(signs, base))
+            yield tuple(s * m for s, m in zip(signs, base))
 
 
 # the classical three-pattern sets, by their customary names

@@ -13,7 +13,7 @@ import pytest
 import signedperms
 from signedperms import cli, formulas
 from signedperms.cli import main
-from conftest import fresh_env
+from conftest import NOT_REGULAR, fresh_env, not_a_regular_file, run_bounded
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -416,7 +416,7 @@ class TestCensus:
             signedperms.write_cache(signedperms.run_census(8), cache)
         before = cache.read_bytes()
         assert b'"T_8/EQ12 at n=8: formula 503, enumerated 504"' in before
-        with pytest.raises(signedperms.SchemaError, match=r"\(sequence\)"):
+        with pytest.raises(ValueError, match=r"\(sequence\)"):
             signedperms.load_cache(cache)
         code, out, err = run(capsys, "census", "--n-max", "6", "--cache", str(cache))
         assert (code, out) == (2, "")
@@ -455,7 +455,7 @@ class TestCensus:
 
         before = self.edited_cache(capsys, cache, deepen)
         start = time.perf_counter()
-        with pytest.raises(signedperms.SchemaError, match="order 1000 on 256 set"):
+        with pytest.raises(ValueError, match="order 1000 on 256 set"):
             signedperms.load_cache(cache)
         assert time.perf_counter() - start < 1
         code, out, err = run(capsys, "census", "--n-max", "8", "--cache", str(cache))
@@ -478,6 +478,31 @@ class TestCensus:
         assert (code, out) == (2, "")
         assert err.startswith("error: [Errno 2] ")
         assert err.endswith(f": {str(cache)!r}\n") and ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", NOT_REGULAR)
+    def test_cache_that_is_not_a_regular_file_exit_2(self, tmp_path, kind):
+        # a device or a FIFO may never end, and a directory cannot be read
+        cache = not_a_regular_file(kind, tmp_path)
+        mode = os.stat(cache).st_mode
+        done = run_bounded(
+            "-m", "signedperms.cli", "census", "--n-max", "2", "--cache", str(cache)
+        )
+        assert (done.returncode, done.stdout) == (2, b"")
+        assert done.stderr == f"error: --cache {cache} is not a regular file\n".encode()
+        assert os.stat(cache).st_mode == mode
+        assert list(cache.parent.glob(f".{cache.name}.*.tmp")) == []
+
+    def test_cache_that_is_not_a_regular_file_is_refused_uncounted(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_census(n_max):
+            raise AssertionError(f"counted the census of order {n_max}")
+
+        monkeypatch.setattr(cli, "run_census", no_census)
+        code, out, err = run(capsys, "census", "--n-max", "2", "--cache", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == f"error: --cache {tmp_path} is not a regular file\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_order_12_output_is_json_dumps(self, capsys):
@@ -655,17 +680,15 @@ class TestClosedStdout:
 class TestImports:
     API = {
         "__version__", "all_orbits", "apply", "apply_to_set", "avoids", "BACKTRACK",
-        "barring", "CapExceededError", "catalan", "CensusRecord", "CensusTable",
-        "complement", "containment_mask", "count", "count_backtrack", "count_mask",
-        "count_naive", "CountResult", "counts_all_subsets", "DuplicateMagnitudeError",
-        "EntryCheck", "EqualMagnitudesError", "eval_formula", "export", "fibonacci",
-        "FORMULA_IDS", "group_elements", "iterate_Bn",
-        "load_cache", "MagnitudeOutOfRangeError", "MASK", "mask_histogram", "METHODS",
-        "NAIVE", "Orbit", "orbit_of_set", "pair_index", "Pattern", "pattern_of",
-        "PATTERNS", "PatternSet", "registry", "RegistryEntry", "reversal", "run_census",
-        "SchemaError", "SignedPermutation", "SupersededClaim", "SymmetryElement",
-        "TRANSFER", "transfer_all_orders", "UnknownFormulaError", "validate_permutation",
-        "VerificationReport", "verify_registry", "write_cache", "ZeroLetterError",
+        "barring", "catalan", "CensusRecord", "CensusTable", "complement",
+        "containment_mask", "count", "count_backtrack", "count_mask", "count_naive",
+        "CountResult", "counts_all_subsets", "EntryCheck", "eval_formula", "export",
+        "fibonacci", "FORMULA_IDS", "group_elements", "iterate_Bn", "load_cache", "MASK",
+        "mask_histogram", "METHODS", "NAIVE", "Orbit", "orbit_of_set", "pair_index",
+        "Pattern", "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry",
+        "reversal", "run_census", "SupersededClaim", "SymmetryElement", "TRANSFER",
+        "transfer_all_orders", "validate_permutation", "VerificationReport",
+        "verify_registry", "write_cache",
     }
 
     def test_public_api_is_pinned(self):
@@ -693,6 +716,28 @@ class TestImports:
                 if name not in used and name not in getattr(module, "__all__", ())
             ]
             assert unused == []
+
+    def test_each_private_name_is_read(self):
+        # a module-level _name, a function, a class or an assignment target, is
+        # read somewhere in the package, as a name or as a module's attribute
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(Path(signedperms.__file__).parent.glob("*.py"))}
+        read = {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        }
+        defined = []
+        for file, tree in trees.items():
+            for stmt in tree.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append((file, stmt.lineno, stmt.name))
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    defined += [(file, node.lineno, node.id) for node in ast.walk(stmt)
+                                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        unread = [f"{file}:{line} {name}" for file, line, name in defined
+                  if name.startswith("_") and not name.startswith("__") and name not in read]
+        assert unread == []
 
     def test_cli_loads_no_numpy(self):
         out = run_fresh(

@@ -9,14 +9,8 @@ from hypothesis import strategies as st
 
 from signedperms import (
     PATTERNS,
-    CapExceededError,
-    DuplicateMagnitudeError,
-    EqualMagnitudesError,
-    MagnitudeOutOfRangeError,
     Pattern,
     PatternSet,
-    SignedPermutation,
-    ZeroLetterError,
     avoids,
     containment_mask,
     iterate_Bn,
@@ -30,7 +24,7 @@ signed_perms = st.integers(1, 6).flatmap(
     lambda n: st.permutations(list(range(1, n + 1))).flatmap(
         lambda base: st.lists(
             st.sampled_from((1, -1)), min_size=n, max_size=n
-        ).map(lambda signs: SignedPermutation(s * m for s, m in zip(signs, base)))
+        ).map(lambda signs: tuple(s * m for s, m in zip(signs, base)))
     )
 )
 
@@ -42,7 +36,6 @@ class TestValidation:
         assert validate_permutation([2, -1, 3]) == (2, -1, 3)
         assert validate_permutation(()) == ()
         assert validate_permutation([-1]) == (-1,)
-        assert isinstance(validate_permutation([1, 2]), SignedPermutation)
 
     @pytest.mark.parametrize("raw", [[True], [1, 2.0], ["1"]])
     def test_letter_not_an_int(self, raw):
@@ -51,25 +44,25 @@ class TestValidation:
             validate_permutation(raw)
 
     def test_zero_letter(self):
-        with pytest.raises(ZeroLetterError):
+        with pytest.raises(ValueError, match="letter 0 names no symbol"):
             validate_permutation([0, 1])
 
     def test_duplicate_magnitude(self):
-        with pytest.raises(DuplicateMagnitudeError):
+        with pytest.raises(ValueError, match="magnitude 1 appears twice"):
             validate_permutation([1, 1])
-        with pytest.raises(DuplicateMagnitudeError):
+        with pytest.raises(ValueError, match="magnitude 2 appears twice"):
             validate_permutation([2, 1, -2])
 
     def test_magnitude_out_of_range(self):
-        with pytest.raises(MagnitudeOutOfRangeError):
+        with pytest.raises(ValueError, match="magnitude 3 out of range for order 2"):
             validate_permutation([3, 1])
-        with pytest.raises(MagnitudeOutOfRangeError):
+        with pytest.raises(ValueError, match="magnitude 4 out of range for order 3"):
             validate_permutation([1, 2, 4])
 
     def test_order_and_oneline(self):
+        # the letters come back as given, in order, as a plain tuple
         w = validate_permutation([2, -1, -3])
-        assert w.oneline() == "2 -1 -3"
-        assert repr(w) == "SignedPermutation([2, -1, -3])"
+        assert type(w) is tuple and w == (2, -1, -3)
 
 
 class TestPatterns:
@@ -106,9 +99,9 @@ class TestPatterns:
         assert str(PATTERNS[pair_index(-7, -4)]) == "-2 -1"
 
     def test_equal_magnitudes_rejected(self):
-        with pytest.raises(EqualMagnitudesError):
+        with pytest.raises(ValueError, match="letters 2 and -2 share a magnitude"):
             pair_index(2, -2)
-        with pytest.raises(EqualMagnitudesError):
+        with pytest.raises(ValueError, match="letters 3 and 3 share a magnitude"):
             pair_index(3, 3)
 
     def test_pair_pattern_matches_definition(self):
@@ -222,9 +215,9 @@ class TestContainment:
             assert avoids(w, PatternSet(0))
 
     def test_short_words_avoid_everything(self):
-        assert avoids(SignedPermutation(()), PatternSet(0xFF))
-        assert avoids(SignedPermutation((-1,)), PatternSet(0xFF))
-        assert containment_mask(SignedPermutation((1,))) == PatternSet(0)
+        assert avoids((), PatternSet(0xFF))
+        assert avoids((-1,), PatternSet(0xFF))
+        assert containment_mask((1,)) == PatternSet(0)
 
     def test_specific_mask(self):
         w = validate_permutation([2, 1, -3, -4])
@@ -258,7 +251,7 @@ class TestContainment:
     def test_mask_monotone_under_extension(self, w):
         # dropping the last letter can only lose patterns
         if len(w) > 1:
-            prefix = SignedPermutation(w[:-1])
+            prefix = w[:-1]
             assert containment_mask(prefix).mask & ~containment_mask(w).mask == 0
 
 
@@ -285,7 +278,7 @@ class TestIteration:
         # iterator is lazy, so nothing is visited) and order 10 is refused
         assert iterate_Bn(9) is not None
         for n in (10, 10**9):
-            with pytest.raises(CapExceededError, match="budget"):
+            with pytest.raises(ValueError, match="budget"):
                 iterate_Bn(n)
         with pytest.raises(ValueError):
             iterate_Bn(-1)

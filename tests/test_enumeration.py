@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from signedperms import (
     PATTERNS,
-    CapExceededError,
     PatternSet,
     avoids,
     containment_mask,
@@ -247,7 +246,7 @@ class TestTransfer:
     def test_order_range(self):
         # order 33 is the census's last within the memory budget
         assert transfer_all_orders(0, range(256)) == [[1] * 256]
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="order 34 on 256 set.* over the budget"):
             transfer_all_orders(34, range(256))
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
             transfer_all_orders(-1, range(256))
@@ -263,9 +262,9 @@ class TestTransfer:
 
     def test_over_budget_is_refused_at_once(self):
         start = time.perf_counter()
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="budget"):
             transfer_all_orders(10**400, [0])  # too large for a float
-        with pytest.raises(CapExceededError) as info:
+        with pytest.raises(ValueError, match="over the budget") as info:
             transfer_all_orders(100, [0])
         assert time.perf_counter() - start < 1
         estimate = budget_estimate(100, 1) / 2**20
@@ -301,7 +300,7 @@ class TestTransfer:
                 assert budget_estimate(n_max, sets) >= model, (n_max, sets)
                 if n_max <= 16:
                     monkeypatch.setattr(enumeration, "_BUDGET_BYTES", math.ceil(model) - 1)
-                    with pytest.raises(CapExceededError):
+                    with pytest.raises(ValueError, match="over the budget"):
                         transfer_all_orders(n_max, [0] * sets)
 
     def test_layers_are_the_reachable_states(self):
@@ -400,11 +399,11 @@ class TestDispatch:
         # naive and mask visit all 2^n n! words, over the budget from order 10;
         # backtracking on {1 2} would visit about 260 million prefixes there
         for fn in (count_naive, count_backtrack, count_mask):
-            with pytest.raises(CapExceededError, match="work budget"):
+            with pytest.raises(ValueError, match="work budget"):
                 fn(10, PatternSet.parse("1 2"))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="work budget"):
             mask_histogram(10)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="work budget"):
             counts_all_subsets(10)
         for fn in (count_naive, count_backtrack, count_mask):
             with pytest.raises(ValueError):
@@ -497,7 +496,7 @@ class TestWorkBudget:
 
         transfer = enumeration.transfer_all_orders
         monkeypatch.setattr(enumeration, "transfer_all_orders", recorded)
-        with prefix_visits() as visits, pytest.raises(CapExceededError):
+        with prefix_visits() as visits, pytest.raises(ValueError, match="work budget"):
             count_backtrack(60, PatternSet.parse("1 2"))
         assert visits[0] == 0
         assert orders and max(orders) <= 16
@@ -518,5 +517,5 @@ class TestWorkBudget:
     def test_backtracking_reach(self, text, reach):
         mask = PatternSet.parse(text).mask
         core._check_work(reach, enumeration._backtrack_work(reach, mask))
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValueError, match="work budget"):
             core._check_work(reach + 1, enumeration._backtrack_work(reach + 1, mask))

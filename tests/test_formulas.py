@@ -9,7 +9,6 @@ import pytest
 from signedperms import (
     FORMULA_IDS,
     PatternSet,
-    UnknownFormulaError,
     all_orbits,
     catalan,
     count_naive,
@@ -69,7 +68,7 @@ class TestEvaluators:
                 assert isinstance(v, int) and v >= 0
 
     def test_unknown_and_negative(self):
-        with pytest.raises(UnknownFormulaError):
+        with pytest.raises(ValueError, match="unknown formula id 'EQ99'"):
             eval_formula("EQ99", 2)
         with pytest.raises(ValueError):
             eval_formula("EQ1", -1)

@@ -9,7 +9,6 @@ from signedperms import symmetry
 from signedperms import (
     PATTERNS,
     PatternSet,
-    SignedPermutation,
     SymmetryElement,
     all_orbits,
     apply,
