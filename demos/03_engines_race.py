@@ -4,11 +4,12 @@ The transfer engine, the default, never visits a word: it builds gap
 states layer by layer and counts all 256 pattern sets at every order in
 one pass.
 The other three are oracles.  The naive engine filters all 2^n n! words.
-The backtracking engine prunes prefixes that already realize a forbidden
-pattern.  The mask engine makes one vectorized pass over the whole group,
-histograms containment masks, and answers every one of the 256 pattern
-sets at once by summing, for each, the buckets disjoint from it.  They
-agree everywhere; they just take very different times.
+The backtracking engine extends prefixes a letter at a time, merging
+those that use the same magnitudes.  The mask engine makes one
+vectorized pass over the whole group, histograms containment masks, and
+answers every one of the 256 pattern sets at once by summing, for each,
+the buckets disjoint from it.  They agree everywhere; they just take very
+different times.
 """
 
 import time

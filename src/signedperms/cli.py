@@ -5,7 +5,8 @@ output to stdout; census keeps a --cache file, the only file left behind,
 which must equal a fresh census at its own order, and replaces it only with a
 deeper census.  Output is byte identical across runs for the same inputs; the
 whole subcommand's elapsed time goes to stderr, and only under --timing.
-Exit codes: 0 success, 1 verification found a mismatch, 2 usage or input
+Exit codes: 0 success, 1 verification found a mismatch (for count and
+sequence, a count that differs from a registered formula), 2 usage or input
 error, 141 (128 + SIGPIPE) with nothing on stderr when stdout is closed
 before the output is written.
 """
@@ -24,7 +25,8 @@ from .census import (
 )
 from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
-from .symmetry import all_orbits
+from .formulas import eval_formula, registry
+from .symmetry import all_orbits, orbit_of_set
 
 
 def _parse_patterns(text: str) -> PatternSet:
@@ -37,6 +39,20 @@ def _parse_patterns(text: str) -> PatternSet:
     return tset
 
 
+def _check_formulas(tset: PatternSet, counted: dict[int, int]) -> int:
+    # 1, after a line on stderr for each difference, if a count of some order
+    # n disagrees with a registry entry for tset's orbit that holds from n on
+    rep, code = orbit_of_set(tset).representative, 0
+    for entry in registry():
+        if entry.canonical == rep:
+            for n, value in counted.items():
+                if n >= entry.min_n and (expected := eval_formula(entry.formula, n)) != value:
+                    print(f"mismatch: {entry.name}/{entry.formula} at n={n}: "
+                          f"formula {expected}, counted {value}", file=sys.stderr)
+                    code = 1
+    return code
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
     result = count(args.n, tset, method=args.method)
@@ -45,7 +61,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
                           "method": result.method, "value": str(result.value)}))
     else:
         print(result.value)
-    return 0
+    return _check_formulas(tset, {args.n: result.value})
 
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
@@ -71,7 +87,7 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     else:
         for n, v in enumerate(values):
             print(n, v)
-    return 0
+    return _check_formulas(tset, dict(enumerate(values)))
 
 
 def _cmd_orbits(args: argparse.Namespace) -> int:

@@ -21,10 +21,9 @@ The eight patterns carry a fixed index 0..7 used everywhere downstream
 
 import itertools
 import math
-import operator
 import warnings
 from functools import total_ordering
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
     "PATTERNS", "Pattern", "PatternSet", "avoids", "containment_mask", "iterate_Bn",
@@ -41,20 +40,19 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be nonnegative, got {n!r}")
 
 
-def _check_work(n: int, work: Iterable[int]) -> None:
-    # refuse a bad order, and an oracle job whose work, given as running
-    # totals of the words or prefixes it visits, passes _WORK_BUDGET; the
-    # totals are read only until one is over
-    _check_order(n)
-    if any(w > _WORK_BUDGET for w in work):
+def _check_work(n: int, work: int) -> None:
+    # refuse an order-n oracle job that visits more than _WORK_BUDGET words
+    # or prefixes; callers check the order before they reckon its work
+    if work > _WORK_BUDGET:
         raise ValueError(f"order {n} is over the oracles' work budget of "
                          f"{_WORK_BUDGET} words or prefixes")
 
 
 def _check_group(n: int) -> None:
-    # visiting all of B_n: the running products 2, 8, 48, ... reach 2^n n!
+    # visiting all 2^n n! words of B_n; order 10 is over, and bounds n
     _check_order(n)
-    _check_work(n, itertools.accumulate(range(2, 2 * n + 1, 2), operator.mul))
+    m = min(n, 10)
+    _check_work(n, (1 << m) * math.factorial(m))
 
 
 def validate_permutation(raw: Sequence[int]) -> tuple[int, ...]:

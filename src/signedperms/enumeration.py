@@ -6,25 +6,27 @@
                the core behind every command that counts, guarded by an
                estimate of its memory
     naive      filter the full group through avoids(); the reference
-    backtrack  depth-first search over prefixes with O(1) extension tests
+    backtrack  prefixes extended a letter at a time and merged by their
+               used magnitudes, for one set or many packed at one order
     mask       vectorized histogram of containment masks over all of B_n;
                b_n(T) sums the buckets disjoint from T, for one set or
                all 256 at one order
 
-naive, backtrack and mask are oracles.  Each refuses, before it counts, a
-job that visits over 2^9 9! words or prefixes: naive and mask visit all
-2^n n! words, backtrack sum_{k<n} C(n,k) b_k(T) prefixes, its b_k from
-transfer.  count and sequence run them only by name, and the tests check
-transfer against them.  naive and mask share nothing with transfer but the
-fixed pattern indexing, so agreement with them is strong evidence of
-correctness; backtrack and transfer share the extension tables.  Only mask
-uses numpy, imported when it first runs, in a single process.
+naive, backtrack and mask are oracles, each refused before it counts by its
+own work: naive and mask visit all 2^n n! words and backtrack makes 2n
+3^(n-1) moves, and a job over 2^9 9! of them is refused; backtrack also
+refuses two widest layers over the memory budget.  count and sequence run
+them only by name, and the tests check transfer against them.  naive and
+mask share nothing with transfer but the fixed pattern indexing, so
+agreement with them is strong evidence of correctness; backtrack and
+transfer share the extension tables and the packing, not the gap states.
+Only mask uses numpy, imported when it first runs, in a single process.
 """
 
 import bisect
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     _PAIR_INDEX, PatternSet, _check_group, _check_order, _check_work, avoids, iterate_Bn,
@@ -74,62 +76,77 @@ _EXTEND_UNBARRED, _EXTEND_BARRED = (
 )
 
 
-def _backtrack_work(n: int, mask: int) -> Iterator[int]:
-    # Running totals of the prefixes count_backtrack visits at order n: the
-    # C(n, k) b_k avoiders of each length k < n on magnitudes from 1..n, with
-    # b_k from transfer passes to orders 1, 2, 4, ..., n - 1, each made only
-    # once the totals before it are read.  A b_k of 0 ends the totals: an
-    # avoider's first k letters standardize to an avoider of order k.
-    work, k, m = 0, 0, 1
-    while k < n:
-        for (b,) in transfer_all_orders(min(m, n - 1), [mask])[k:]:
-            if b == 0:
-                return
-            work += math.comb(n, k) * b
-            yield work
-            k += 1
-        m *= 2
+def _packing(n_max: int, masks: Sequence[int]) -> tuple[int, int, list[int]]:
+    # ValueError for a mask outside 0..255; else the width W of fields that
+    # hold counts to 2^n_max n_max!, masks[i]'s in bits [W*i, W*(i+1)), a 1
+    # in every field, and keep[s] (unbarred move) and keep[16 + s] (barred
+    # move): all-ones fields of the listed sets that a move with summary s avoids
+    for t in masks:
+        if type(t) is not int or not 0 <= t < 256:
+            raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
+    width = ((1 << n_max) * math.factorial(n_max)).bit_length()
+    units = [1 << width * i for i in range(len(masks))]
+    keep = [sum(unit for unit, t in zip(units, masks) if not t & added) * ((1 << width) - 1)
+            for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
+    return width, sum(units), keep
+
+
+# the most memory, in bytes, that transfer_all_orders and _memo_counts plan to use
+_BUDGET_BYTES = 2**31
+
+
+def _check_bytes(n: int, sets: int, estimate: float) -> None:
+    if estimate > _BUDGET_BYTES:
+        raise ValueError(
+            f"order {n} on {sets} set(s) needs an estimated "
+            f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
+        )
+
+
+# bytes a pair costs _memo_counts besides its packed fields (4 bytes per 30
+# bits): a dict slot, its key, the ints' headers and what the allocator keeps
+# of the last layer; the estimate is 1.2-1.7x peak RSS at orders 12 to 15
+_PAIR_BYTES = 200
+
+
+def _memo_counts(n: int, masks: Sequence[int]) -> list[int]:
+    # Order-n avoider counts of the listed sets.  A prefix's future depends
+    # only on its used magnitudes, unbarred and barred: layer d maps each such
+    # pair, keyed used_u | used_b << n, to the packed counts of its avoiding
+    # d-letter prefixes.  Refused before it counts: over 2n 3^(n-1) moves, one
+    # per pair and letter, reckoned at min(n, 64), or over the byte budget
+    # for two widest layers of max_k C(n, k) 2^k pairs.
+    _check_order(n)
+    _check_work(n, 2 * min(n, 64) * 3 ** min(n, 64) // 3)
+    width, ones, keep = _packing(n, masks)
+    pairs = max(math.comb(n, k) << k for k in range(n + 1))
+    _check_bytes(n, len(masks), 2 * pairs * (_PAIR_BYTES + len(masks) * width * 4 / 30))
+    full, layer = (1 << n) - 1, {0: ones}  # the empty prefix avoids every set
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for key, vec in layer.items():
+            used_u, used_b = key & full, key >> n
+            low_u, low_b = used_u & -used_u, used_b & -used_b
+            free, last = full ^ used_u ^ used_b, -1
+            while free:
+                bit = free & -free
+                free ^= bit
+                s = ((0 < low_u < bit) | (used_u > bit) << 1
+                     | (0 < low_b < bit) << 2 | (used_b > bit) << 3)
+                if s != last:  # at most five runs of free bits share a summary
+                    last, kept_u, kept_b = s, vec & keep[s], vec & keep[s | 16]
+                if kept_u:
+                    nxt[key | bit] = nxt.get(key | bit, 0) + kept_u
+                if kept_b:
+                    nxt[key | bit << n] = nxt.get(key | bit << n, 0) + kept_b
+        layer = nxt
+    total = sum(layer.values())
+    return [total >> width * i & (1 << width) - 1 for i in range(len(masks))]
 
 
 def count_backtrack(n: int, tset: PatternSet) -> CountResult:
-    """Count avoiders by extending prefixes left to right.
-
-    A prefix is summarized by two bitmasks of used magnitudes, unbarred and
-    barred.  Each candidate letter is admitted iff the patterns it would
-    add are disjoint from the forbidden set.  Unused magnitudes are taken
-    in ascending order; each is summarized once and tried unbarred, then
-    barred.  Subtrees below a rejected letter are never visited.
-    """
-    _check_work(n, _backtrack_work(n, tset.mask))
-    if n == 0:
-        return CountResult(0, tset, 1, BACKTRACK)
-    forbidden = tset.mask
-    ext_u = _EXTEND_UNBARRED
-    ext_b = _EXTEND_BARRED
-    last = n - 1
-
-    def grow(used_u: int, used_b: int, depth: int) -> int:
-        used = used_u | used_b
-        cnt = 0
-        for m in range(1, n + 1):
-            bit = 1 << m
-            if used & bit:
-                continue
-            below = bit - 1
-            above = ~(bit | below)
-            s = (
-                (1 if used_u & below else 0)
-                | (2 if used_u & above else 0)
-                | (4 if used_b & below else 0)
-                | (8 if used_b & above else 0)
-            )
-            if not ext_u[s] & forbidden:
-                cnt += 1 if depth == last else grow(used_u | bit, used_b, depth + 1)
-            if not ext_b[s] & forbidden:
-                cnt += 1 if depth == last else grow(used_u, used_b | bit, depth + 1)
-        return cnt
-
-    return CountResult(n, tset, grow(0, 0, 0), BACKTRACK)
+    """Count avoiders by prefixes merged by their used magnitudes (_memo_counts)."""
+    return CountResult(n, tset, _memo_counts(n, [tset.mask])[0], BACKTRACK)
 
 
 def _halves(k: int) -> list[tuple[int, int, int]]:
@@ -137,10 +154,6 @@ def _halves(k: int) -> list[tuple[int, int, int]]:
     # then, if k > 0, spans of gaps lo <= hi by width, needing 1 + (lo < hi)
     spans = [(lo, lo + d, 1 + (d > 0)) for d in range(k + 1) for lo in range(k + 1 - d)]
     return [(k, 0, 0)] + (spans if k else [])
-
-
-# the most memory, in bytes, that transfer_all_orders plans to use
-_BUDGET_BYTES = 2**31
 
 
 def _check_budget(n_max: int, sets: int) -> None:
@@ -159,11 +172,7 @@ def _check_budget(n_max: int, sets: int) -> None:
     h5, h4, h1, h0 = (1 + (k + 1) * (k + 2) // 2 for k in (n - 5, n - 4, n - 1, n))
     bits = n + math.lgamma(n + 1) / math.log(2)
     estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (sets * bits / 8 + 64)
-    if estimate > _BUDGET_BYTES:
-        raise ValueError(
-            f"order {n_max} on {sets} set(s) needs an estimated "
-            f"{estimate / 2**20:.0f} MB, over the budget of {_BUDGET_BYTES >> 20} MB"
-        )
+    _check_bytes(n_max, sets, estimate)
 
 
 def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
@@ -200,16 +209,8 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
     _check_budget(n_max, len(masks))
-    for t in masks:
-        if type(t) is not int or not 0 <= t < 256:
-            raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
-    width = ((1 << n_max) * math.factorial(n_max)).bit_length()
+    width, ones, keep = _packing(n_max, masks)
     field = (1 << width) - 1
-    units = [1 << width * i for i in range(len(masks))]
-    # keep[s] (unbarred move) and keep[16 + s] (barred move): all-ones
-    # fields of the listed sets that a move with summary s avoids
-    keep = [sum(unit for unit, t in zip(units, masks) if not t & added) * field
-            for added in _EXTEND_UNBARRED + _EXTEND_BARRED]
     out, layer, halves = [], [], []
     for k in range(n_max + 1):
         index = {(lo, hi): i for i, (lo, hi, _) in enumerate(halves)}
@@ -223,7 +224,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
             # halves come by need, so the pairs reached with this one come first
             m = bisect.bisect_right(halves, n_max - k - need_u, key=lambda h: h[2])
             for (lb, hb, _), tb, sb in zip(halves[:m], take, shift):
-                vec = 0 if k else sum(units)  # the empty completion avoids every set
+                vec = 0 if k else ones  # the empty completion avoids every set
                 # the four gap indices cut the unused magnitudes j = 0..k-1
                 # into intervals [a, b) on which j compares with each index as
                 # a does, so the summary s is fixed there: sum an interval's

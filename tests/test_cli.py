@@ -73,17 +73,17 @@ class TestCount:
 
     def test_cap_exit_2(self, capsys):
         # the oracles' work budget is all 2^9 9! words of order 9: naive and
-        # mask refuse order 10, and backtracking refuses {1 2} at order 10,
-        # where it would visit about 260 million prefixes
-        for method in ("naive", "mask", "backtrack"):
+        # mask refuse order 10, and backtracking refuses order 16, where it
+        # would make 2n 3^(n-1), about 459 million, moves
+        for method, order in (("naive", "10"), ("mask", "10"), ("backtrack", "16")):
             code, out, err = run(
-                capsys, "count", "--patterns", "1 2", "--n", "10", "--method", method
+                capsys, "count", "--patterns", "1 2", "--n", order, "--method", method
             )
             assert (code, out) == (2, "")
             assert "work budget" in err
 
     def test_backtrack_refusal_is_prompt(self, capsys):
-        # {1 2} at order 60 is refused after transfer passes to a few orders
+        # {1 2} at order 60 is refused by its moves, reckoned in closed form
         start = time.perf_counter()
         code, out, err = run(
             capsys, "count", "--patterns", "1 2", "--n", "60", "--method", "backtrack"
@@ -131,6 +131,46 @@ class TestCount:
         assert code == 0
         assert out == "34\n"
         assert "timing_seconds:" in err
+
+
+class TestFormulaCheck:
+    # count and sequence check each count against the registry entries of
+    # the set's orbit, from each entry's min_n on
+    T_2 = "1 2, 1 -2, -1 -2"
+
+    def test_a_wrong_count_exits_1(self, capsys, monkeypatch):
+        def off_by_one(n_max, masks):
+            counts = engine(n_max, masks)
+            counts[7][0] += 1
+            return counts
+
+        engine = cli.transfer_all_orders
+        code, want, _ = run(capsys, "sequence", "--patterns", self.T_2, "--n-max", "8")
+        assert code == 0
+        monkeypatch.setattr(cli, "transfer_all_orders", off_by_one)
+        code, out, err = run(capsys, "sequence", "--patterns", self.T_2, "--n-max", "8")
+        assert code == 1
+        assert out == want.replace("7 1430\n", "7 1431\n") != want
+        assert err == "mismatch: T_2/EQ7 at n=7: formula 1430, counted 1431\n"
+
+    @pytest.mark.parametrize("method", ["transfer", "naive", "backtrack", "mask"])
+    def test_every_method_is_checked(self, capsys, monkeypatch, method):
+        def off_by_one(n, tset, method):
+            result = engine(n, tset, method)
+            return result._replace(value=result.value + 1)
+
+        engine = cli.count
+        monkeypatch.setattr(cli, "count", off_by_one)
+        code, out, err = run(capsys, "count", "--patterns", self.T_2, "--n", "5",
+                             "--method", method)
+        assert (code, out) == (1, "133\n")
+        assert err == "mismatch: T_2/EQ7 at n=5: formula 132, counted 133\n"
+
+    def test_every_set_passes_to_order_10(self, capsys):
+        for mask in range(256):
+            text = signedperms.PatternSet(mask).text()
+            code, _, err = run(capsys, "sequence", "--patterns", text, "--n-max", "10")
+            assert (code, err) == (0, ""), text
 
 
 class TestSequence:

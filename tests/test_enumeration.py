@@ -1,13 +1,11 @@
 """Agreement and correctness of the counting engines."""
 
 import collections
-import contextlib
 import functools
 import gc
 import itertools
 import math
 import re
-import sys
 import time
 import tracemalloc
 
@@ -397,10 +395,10 @@ class TestDispatch:
 
     def test_caps_everywhere(self):
         # naive and mask visit all 2^n n! words, over the budget from order 10;
-        # backtracking on {1 2} would visit about 260 million prefixes there
-        for fn in (count_naive, count_backtrack, count_mask):
+        # backtracking makes 2n 3^(n-1) moves, over it from order 16
+        for fn, order in ((count_naive, 10), (count_backtrack, 16), (count_mask, 10)):
             with pytest.raises(ValueError, match="work budget"):
-                fn(10, PatternSet.parse("1 2"))
+                fn(order, PatternSet.parse("1 2"))
         with pytest.raises(ValueError, match="work budget"):
             mask_histogram(10)
         with pytest.raises(ValueError, match="work budget"):
@@ -428,25 +426,22 @@ class TestDispatch:
             call(n)
 
 
-@contextlib.contextmanager
-def prefix_visits():
-    # counts the calls of count_backtrack's inner grow, one per prefix visited
-    visits = [0]
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "grow":
-            visits[0] += 1
-
-    sys.setprofile(profile)
-    try:
-        yield visits
-    finally:
-        sys.setprofile(None)
+def avoiding_prefixes(n: int, k: int, tset: PatternSet) -> collections.Counter:
+    # the k-letter signed words on distinct magnitudes from 1..n that avoid
+    # tset, by brute force, counted per pair of used unbarred and barred
+    # magnitudes: the keys of _memo_counts' layer k
+    pairs = collections.Counter()
+    for mags in itertools.permutations(range(1, n + 1), k):
+        for signs in itertools.product((1, -1), repeat=k):
+            word = [s * m for s, m in zip(signs, mags)]
+            if avoids(word, tset):
+                pairs[frozenset(mags), frozenset(x for x in word if x < 0)] += 1
+    return pairs
 
 
-def backtrack_total(n: int, tset: PatternSet) -> int:
-    # the work count_backtrack's guard computes: its last running total
-    return max(enumeration._backtrack_work(n, tset.mask), default=0)
+def memo_moves(n: int) -> int:
+    # the moves _memo_counts' guard charges at order n
+    return 2 * n * 3**n // 3
 
 
 class TestWorkBudget:
@@ -460,62 +455,133 @@ class TestWorkBudget:
     def test_prefixes_are_the_shorter_avoiders(self, tset):
         # the prefixes of length k are the k-letter signed words on distinct
         # magnitudes from 1..n that avoid tset: C(n, k) b_k of them, as each
-        # standardizes to an order-k avoider; backtracking visits those of
-        # every length k < n, and the guard's total says so in advance
+        # standardizes to an order-k avoider.  Merged by their used
+        # magnitudes they reach at most C(n, k) 2^k pairs, the guard's layer
+        # width, and each pair makes 2(n - k) moves, which sum over k to the
+        # guard's 2n 3^(n-1), reached by the empty set
         for n in range(6):
-            words = [
-                sum(
-                    avoids([s * m for s, m in zip(signs, mags)], tset)
-                    for mags in itertools.permutations(range(1, n + 1), k)
-                    for signs in itertools.product((1, -1), repeat=k)
-                )
-                for k in range(n)
-            ]
-            assert words == [math.comb(n, k) * count_naive(k, tset).value
-                             for k in range(n)]
-            with prefix_visits() as visits:
-                count_backtrack(n, tset)
-            assert visits[0] == sum(words) == backtrack_total(n, tset), n
+            moves = 0
+            for k in range(n):
+                pairs = avoiding_prefixes(n, k, tset)
+                assert sum(pairs.values()) == math.comb(n, k) * count_naive(k, tset).value
+                assert len(pairs) <= math.comb(n, k) << k
+                moves += 2 * (n - k) * len(pairs)
+            assert moves <= memo_moves(n)
+            assert moves == memo_moves(n) or tset.mask, n
 
     def test_a_count_of_0_ends_the_work(self):
-        # no two letters avoid all eight patterns, so the only prefixes are
-        # the empty one and the 2 * 78 single letters
-        assert list(enumeration._backtrack_work(78, 0xFF)) == [1, 1 + 2 * 78]
-        with prefix_visits() as visits:
-            assert count_backtrack(78, PatternSet(0xFF)).value == 0
-        assert visits[0] == 1 + 2 * 78
+        # no two letters avoid all eight patterns, so the layers are empty
+        # from the second letter on, and order 15, the guard's last, is cheap
+        start = time.perf_counter()
+        assert count_backtrack(15, PatternSet(0xFF)).value == 0
+        assert time.perf_counter() - start < 1
 
     def test_refusal_makes_short_passes(self, monkeypatch):
-        # {1 2} at order 60 is over the budget by order 5 already, so the
-        # passes stop at order 8 and no prefix is visited
-        orders = []
+        # the guard is reckoned in closed form: no engine runs, and a refusal
+        # far past the budget is prompt
+        def refused(*args):
+            raise AssertionError("the backtracking guard ran the transfer engine")
 
-        def recorded(n_max, masks):
-            orders.append(n_max)
-            return transfer(n_max, masks)
-
-        transfer = enumeration.transfer_all_orders
-        monkeypatch.setattr(enumeration, "transfer_all_orders", recorded)
-        with prefix_visits() as visits, pytest.raises(ValueError, match="work budget"):
-            count_backtrack(60, PatternSet.parse("1 2"))
-        assert visits[0] == 0
-        assert orders and max(orders) <= 16
+        monkeypatch.setattr(enumeration, "transfer_all_orders", refused)
+        start = time.perf_counter()
+        for n in (16, 60, 1_000_000):
+            with pytest.raises(ValueError, match="work budget"):
+                count_backtrack(n, PatternSet.parse("1 2"))
+        assert time.perf_counter() - start < 1
 
     def test_order_9_is_admitted_for_every_set(self):
-        # on the guards alone: nothing is counted
+        # on the guards alone: the backtracking guard reads only the order and
+        # the number of sets, and the full set ends each count at once
         core._check_group(9)
-        for tset in ALL_SETS:
-            core._check_work(9, enumeration._backtrack_work(9, tset.mask))
-        # the empty set is the most work
-        assert backtrack_total(9, PatternSet(0)) == 120_528_883
+        assert enumeration._memo_counts(9, [0xFF] * 256) == [0] * 256
+        assert memo_moves(9) == 118_098
 
     @pytest.mark.parametrize("text, reach", [
         (NAMED_TRIPLES["T_2"], 13),
         ("1 2, 1 -2, -1 -2, 2 1", 21),
         ("1 2, 2 1", 10),
     ])
-    def test_backtracking_reach(self, text, reach):
-        mask = PatternSet.parse(text).mask
-        core._check_work(reach, enumeration._backtrack_work(reach, mask))
-        with pytest.raises(ValueError, match="work budget"):
-            core._check_work(reach + 1, enumeration._backtrack_work(reach + 1, mask))
+    def test_backtracking_reach(self, text, reach, monkeypatch):
+        # reach is the last order the old guard, a count of the set's own
+        # prefixes, admitted: 13, 21 and 10 for these sets.  Now each reaches
+        # 15, so the old first refused order is admitted just when it is at
+        # most 15.  Admission is read from the guards alone: the byte check,
+        # the last of them, is made to stop the count once it has passed
+        class Admitted(Exception):
+            pass
+
+        def check_bytes(*args):
+            check(*args)
+            raise Admitted
+
+        check = enumeration._check_bytes
+        monkeypatch.setattr(enumeration, "_check_bytes", check_bytes)
+        tset = PatternSet.parse(text)
+        start = time.perf_counter()
+        for n in (reach + 1, 15, 16):
+            with pytest.raises(Admitted if n <= 15 else ValueError,
+                               match=None if n <= 15 else "work budget"):
+                count_backtrack(n, tset)
+        assert time.perf_counter() - start < 1
+
+    def test_every_set_reaches_order_15(self):
+        # the moves do not depend on the set, so every single set is admitted
+        # at order 15 and refused at 16; the full set stands in for a count
+        # at 15, which it ends at once
+        assert memo_moves(15) <= core._WORK_BUDGET < memo_moves(16)
+        for tset in ALL_SETS:
+            with pytest.raises(ValueError, match="work budget"):
+                count_backtrack(16, tset)
+        assert count_backtrack(15, PatternSet(0xFF)).value == 0
+
+    def test_packed_reach_is_order_13(self):
+        # 256 sets packed: admitted at 13 and refused at 14 for memory, each
+        # decided before counting; the full set again ends the count at once
+        start = time.perf_counter()
+        assert enumeration._memo_counts(13, [0xFF] * 256) == [0] * 256
+        with pytest.raises(ValueError, match=r"order 14 on 256 set\(s\) needs an estimated"):
+            enumeration._memo_counts(14, range(256))
+        assert time.perf_counter() - start < 1
+
+    def test_memory_estimate_covers_measured_peaks(self):
+        # the estimate restated, against peak RSS measured on x86-64 CPython
+        # 3.11: 260 MB for the empty set at order 14, 703 MB at 15, and 1018
+        # MB for all 256 sets at order 13
+        def estimate(n, sets):
+            pairs = max(math.comb(n, k) << k for k in range(n + 1))
+            width = ((1 << n) * math.factorial(n)).bit_length()
+            return 2 * pairs * (enumeration._PAIR_BYTES + sets * width * 4 / 30) / 2**20
+
+        assert estimate(14, 1) > 260 and estimate(15, 1) > 703 and estimate(13, 256) > 1018
+        assert estimate(15, 1) < 2048 < estimate(14, 256)
+
+
+class TestMemo:
+    @pytest.mark.parametrize("n", range(11))
+    def test_all_sets_match_transfer_through_order_10(self, n):
+        assert enumeration._memo_counts(n, range(256)) == transfer_all_orders(n, range(256))[n]
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_all_sets_match_the_histogram_through_order_8(self, n):
+        assert enumeration._memo_counts(n, range(256)) == list(counts_all_subsets(n).values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 7), st.lists(st.integers(0, 255), max_size=12))
+    def test_fields_follow_the_list(self, n, masks):
+        # repeats and any order: field i is masks[i]'s count
+        expected = [transfer_to(7)[n][PatternSet(m)] for m in masks]
+        assert enumeration._memo_counts(n, masks) == expected
+
+    def test_masks_are_checked(self):
+        for bad in (256, -1, True, 1.0):
+            with pytest.raises(ValueError, match="not a pattern-set mask"):
+                enumeration._memo_counts(3, [0, bad])
+
+    def test_runs_without_the_transfer_engine(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("count_backtrack ran the transfer engine")
+
+        monkeypatch.setattr(enumeration, "transfer_all_orders", refused)
+        tset = PatternSet.parse(NAMED_TRIPLES["T_2"])
+        assert count_backtrack(9, tset).value == eval_formula("EQ7", 9)
+        assert count_backtrack(9, PatternSet.parse("1 2")).value == eval_formula("EQ1", 9)
