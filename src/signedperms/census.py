@@ -5,12 +5,13 @@ each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
-guarded by its memory budget, not by the oracles' work budget, and their
-formula checks from one loop, _check_registry.  export writes a table as
-JSON or CSV.  A census file is valid only if its bytes are export of a fresh
-census at its own n_max: _check_cache applies this one rule for load_cache and
-census --cache, counting that census only for a file that begins as its export
-does and is as long as any census of its order, and raises ValueError.
+guarded by its memory budget, not by the oracles' work budget.  All four
+counting subcommands (census, verify, count, sequence) check formulas in one
+loop, _check_registry.  export writes a table as JSON or CSV.  A census file
+is valid only if its bytes are export of a fresh census at its own n_max:
+_check_cache applies this one rule for load_cache and census --cache,
+counting that census only for a file that begins as its export does and is
+as long as any census of its order, and raises ValueError.
 """
 
 import json
@@ -75,19 +76,20 @@ class EntryCheck(NamedTuple):
     holds_below: tuple[int, ...]
 
 
-def _check_registry(per_order: list[list[int]]) -> tuple[EntryCheck, ...]:
-    # the one place formulas meet counts: each registry entry, in registry
-    # order, against per_order[n][mask] for every order n listed; each formula
-    # id is evaluated once per order and call, however many entries share it
-    n_max = len(per_order) - 1
-    ids = dict.fromkeys(entry.formula for entry in registry())
-    values = {f: [eval_formula(f, n) for n in range(n_max + 1)] for f in ids}
+def _check_registry(per_order: dict[int, list[int] | dict[int, int]],
+                    entries: tuple[RegistryEntry, ...] | None = None) -> tuple[EntryCheck, ...]:
+    # the one place formulas meet counts: each entry (all of registry() in
+    # order by default) against per_order[n][mask] for every order n listed;
+    # each formula id is evaluated once per listed order and call
+    entries = registry() if entries is None else entries
+    ids = dict.fromkeys(entry.formula for entry in entries)
+    values = {f: {n: eval_formula(f, n) for n in per_order} for f in ids}
     checks = []
-    for entry in registry():
+    for entry in entries:
         mismatches = []
         holds_below = []
-        for n in range(n_max + 1):
-            enumerated = per_order[n][entry.patterns.mask]
+        for n, counts in per_order.items():
+            enumerated = counts[entry.patterns.mask]
             expected = values[entry.formula][n]
             if n < entry.min_n:
                 if expected == enumerated:
@@ -100,7 +102,7 @@ def _check_registry(per_order: list[list[int]]) -> tuple[EntryCheck, ...]:
             EntryCheck(
                 entry=entry,
                 status=MISMATCH if mismatches
-                else VERIFIED if entry.min_n <= n_max else UNCHECKED,
+                else VERIFIED if any(n >= entry.min_n for n in per_order) else UNCHECKED,
                 mismatches=tuple(mismatches),
                 holds_below=tuple(holds_below),
             )
@@ -116,7 +118,7 @@ def run_census(n_max: int) -> CensusTable:
     """
     per_order = transfer_all_orders(n_max, range(256))
     by_rep: dict[int, list[EntryCheck]] = {}
-    for check in _check_registry(per_order):
+    for check in _check_registry(dict(enumerate(per_order))):
         by_rep.setdefault(check.entry.canonical.mask, []).append(check)
     class_ids: dict[tuple[int, ...], int] = {}
     records = []
@@ -196,7 +198,7 @@ def verify_registry(n_max: int) -> VerificationReport:
         for ps, description, value_fn, n in _SUPERSEDED
         if n <= n_max
     )
-    return VerificationReport(n_max, _check_registry(per_order), superseded)
+    return VerificationReport(n_max, _check_registry(dict(enumerate(per_order))), superseded)
 
 
 def export(table: CensusTable, format: str = "json") -> bytes:

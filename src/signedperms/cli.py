@@ -20,12 +20,12 @@ import warnings
 from pathlib import Path
 
 from .census import (
-    MISMATCH, UNCHECKED, VERIFIED, _check_cache, export, run_census, verify_registry,
-    write_cache,
+    MISMATCH, UNCHECKED, VERIFIED, _check_cache, _check_registry, export, run_census,
+    verify_registry, write_cache,
 )
 from .core import PatternSet
 from .enumeration import METHODS, TRANSFER, count, transfer_all_orders
-from .formulas import eval_formula, registry
+from .formulas import registry
 from .symmetry import all_orbits, orbit_of_set
 
 
@@ -40,17 +40,15 @@ def _parse_patterns(text: str) -> PatternSet:
 
 
 def _check_formulas(tset: PatternSet, counted: dict[int, int]) -> int:
-    # 1, after a line on stderr for each difference, if a count of some order
-    # n disagrees with a registry entry for tset's orbit that holds from n on
-    rep, code = orbit_of_set(tset).representative, 0
-    for entry in registry():
-        if entry.canonical == rep:
-            for n, value in counted.items():
-                if n >= entry.min_n and (expected := eval_formula(entry.formula, n)) != value:
-                    print(f"mismatch: {entry.name}/{entry.formula} at n={n}: "
-                          f"formula {expected}, counted {value}", file=sys.stderr)
-                    code = 1
-    return code
+    # 1, after a line on stderr for each mismatch that _check_registry finds in
+    # the entries of tset's orbit, whose counts are all equal to tset's
+    rep = orbit_of_set(tset).representative
+    entries = tuple(entry for entry in registry() if entry.canonical == rep)
+    per_order = {n: {e.patterns.mask: v for e in entries} for n, v in counted.items()}
+    lines = [f"mismatch: {c.entry.name}/{c.entry.formula} at {m}\n"
+             for c in _check_registry(per_order, entries) for m in c.mismatches]
+    sys.stderr.writelines(lines)
+    return 1 if lines else 0
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -69,11 +67,10 @@ def _cmd_sequence(args: argparse.Namespace) -> int:
     if args.method == TRANSFER:
         values = [c[0] for c in transfer_all_orders(args.n_max, [tset.mask])]
     else:
-        # an oracle's work grows with n, so counting order n_max first
-        # refuses the order range before any order is counted
-        last = count(args.n_max, tset, method=args.method).value
-        values = [count(n, tset, method=args.method).value for n in range(args.n_max)]
-        values.append(last)
+        # an oracle's work grows with n, so counting order n_max first (even
+        # a negative one) refuses the order range before any order is counted
+        values = [count(n, tset, method=args.method).value
+                  for n in range(args.n_max, min(args.n_max, 0) - 1, -1)][::-1]
     if args.format == "json":
         doc = {
             "patterns": tset.text(),

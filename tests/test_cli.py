@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import signedperms
-from signedperms import cli, formulas
+from signedperms import PatternSet, cli, formulas
 from signedperms.cli import main
 from conftest import NOT_REGULAR, fresh_env, not_a_regular_file, run_bounded
 
@@ -151,7 +151,7 @@ class TestFormulaCheck:
         code, out, err = run(capsys, "sequence", "--patterns", self.T_2, "--n-max", "8")
         assert code == 1
         assert out == want.replace("7 1430\n", "7 1431\n") != want
-        assert err == "mismatch: T_2/EQ7 at n=7: formula 1430, counted 1431\n"
+        assert err == "mismatch: T_2/EQ7 at n=7: formula 1430, enumerated 1431\n"
 
     @pytest.mark.parametrize("method", ["transfer", "naive", "backtrack", "mask"])
     def test_every_method_is_checked(self, capsys, monkeypatch, method):
@@ -164,7 +164,49 @@ class TestFormulaCheck:
         code, out, err = run(capsys, "count", "--patterns", self.T_2, "--n", "5",
                              "--method", method)
         assert (code, out) == (1, "133\n")
-        assert err == "mismatch: T_2/EQ7 at n=5: formula 132, counted 133\n"
+        assert err == "mismatch: T_2/EQ7 at n=5: formula 132, enumerated 133\n"
+
+    def test_every_subcommand_words_a_mismatch_alike(self, capsys, monkeypatch):
+        # one count of T_2's orbit at order 7 off by one, in each engine call
+        def off_by_one(n_max, masks):
+            counts = engine(n_max, masks)
+            for i, mask in enumerate(masks):
+                if mask in orbit and n_max >= 7:
+                    counts[7][i] += 1
+            return counts
+
+        engine = cli.transfer_all_orders
+        orbit = {m.mask for m in signedperms.orbit_of_set(PatternSet.parse(self.T_2)).members}
+        monkeypatch.setattr(cli, "transfer_all_orders", off_by_one)
+        monkeypatch.setattr(signedperms.census, "transfer_all_orders", off_by_one)
+        detail = "n=7: formula 1430, enumerated 1431"
+        code, _, err = run(capsys, "sequence", "--patterns", self.T_2, "--n-max", "8")
+        assert (code, err) == (1, f"mismatch: T_2/EQ7 at {detail}\n")
+        code, out, _ = run(capsys, "verify", "--n-max", "8")
+        # verify's plain lines name an entry as "T_2 [EQ7]", as they always have
+        assert code == 1
+        assert [line for line in out.splitlines() if "FAIL" in line] == [
+            f"FAIL T_2 [EQ7] n=0..8 | {detail}"]
+        code, out, _ = run(capsys, "census", "--n-max", "8")
+        failed = [r for r in json.loads(out)["records"] if r["verification"] == "mismatch"]
+        assert code == 1
+        assert [r["verification_details"] for r in failed] == [[f"T_2/EQ7 at {detail}"]]
+
+    def test_no_mismatch_below_min_n(self, capsys, monkeypatch):
+        # U4_2's orbit has one entry, TH4_7, claimed from order 3 on; a wrong
+        # count below it is not a mismatch, and one at order 3 is
+        def off_by_one(n, tset, method):
+            result = engine(n, tset, method)
+            return result._replace(value=result.value + 1)
+
+        engine = cli.count
+        monkeypatch.setattr(cli, "count", off_by_one)
+        u4_2 = "1 2, 1 -2, -1 2, 2 1"
+        code, _, err = run(capsys, "count", "--patterns", u4_2, "--n", "2")
+        assert (code, err) == (0, "")
+        code, _, err = run(capsys, "count", "--patterns", u4_2, "--n", "3")
+        assert code == 1
+        assert err.startswith("mismatch: U4_2/TH4_7 at n=3: formula ")
 
     def test_every_set_passes_to_order_10(self, capsys):
         for mask in range(256):
