@@ -5,7 +5,7 @@ each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
 verify_registry reports the check of every registry entry.  Both take all
 their counts from one call to the transfer engine over the 256 sets,
-guarded by its memory budget, not by the oracles' work budget.  All four
+guarded by its memory and work budgets, of which memory binds first.  All four
 counting subcommands (census, verify, count, sequence) check formulas in one
 loop, _check_registry.  export writes a table as JSON or CSV.  A census file
 is valid only if its bytes are export of a fresh census at its own n_max:

@@ -22,7 +22,6 @@ The eight patterns carry a fixed index 0..7 used everywhere downstream
 import itertools
 import math
 import warnings
-from functools import total_ordering
 from typing import Iterator, NamedTuple, Sequence
 
 __all__ = [
@@ -40,12 +39,13 @@ def _check_order(n: int) -> None:
         raise ValueError(f"order must be nonnegative, got {n!r}")
 
 
-def _check_work(n: int, work: int) -> None:
-    # refuse an order-n oracle job that visits more than _WORK_BUDGET words
-    # or prefixes; callers check the order before they reckon its work
+def _check_work(n: int, work: int, who: str = "the oracles'",
+                unit: str = "words or prefixes") -> None:
+    # refuse an order-n job of more than _WORK_BUDGET units of work: words or
+    # prefixes an oracle visits, or steps of a transfer pass; callers check
+    # the order before they reckon its work
     if work > _WORK_BUDGET:
-        raise ValueError(f"order {n} is over the oracles' work budget of "
-                         f"{_WORK_BUDGET} words or prefixes")
+        raise ValueError(f"order {n} is over {who} work budget of {_WORK_BUDGET} {unit}")
 
 
 def _check_group(n: int) -> None:
@@ -131,14 +131,14 @@ def pattern_of(letters: Sequence[int]) -> Pattern:
     return p
 
 
-@total_ordering
 class PatternSet:
     """A subset of the eight patterns, stored as an 8-bit mask.
 
     Bit i is set when the pattern with index i belongs to the set.  The
     integer mask doubles as a canonical encoding: histogram buckets and
     the transfer engine's count lists are indexed by it.  Instances are
-    immutable and compare, hash and order by mask.
+    immutable and compare and hash by mask; they neither order nor combine,
+    so a sort passes key=lambda s: s.mask.
     """
 
     __slots__ = ("mask",)
@@ -170,11 +170,6 @@ class PatternSet:
             return self.mask == other.mask
         return NotImplemented
 
-    def __lt__(self, other: "PatternSet") -> bool:
-        if other.__class__ is self.__class__:
-            return self.mask < other.mask
-        return NotImplemented
-
     @classmethod
     def parse(cls, text: str) -> "PatternSet":
         """Parse a comma-separated list of patterns, e.g. "1 2, -2 1".
@@ -204,16 +199,6 @@ class PatternSet:
     def text(self) -> str:
         """Inverse of parse (up to whitespace): "1 2, -1 2"."""
         return ", ".join(str(p) for p in self)
-
-    def __or__(self, other: "PatternSet") -> "PatternSet":
-        if other.__class__ is self.__class__:
-            return PatternSet(self.mask | other.mask)
-        return NotImplemented
-
-    def __and__(self, other: "PatternSet") -> "PatternSet":
-        if other.__class__ is self.__class__:
-            return PatternSet(self.mask & other.mask)
-        return NotImplemented
 
     def __len__(self) -> int:
         return self.mask.bit_count()

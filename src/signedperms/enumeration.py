@@ -3,8 +3,8 @@
     transfer   gap-state layer recurrence: b_n(T) for any list of sets T
                and every order up to n_max in one pass, in time polynomial
                in n_max, each state's counts packed into one Python int;
-               the core behind every command that counts, guarded by an
-               estimate of its memory
+               the core behind every command that counts, guarded by
+               estimates of its memory and its work
     naive      filter the full group through avoids(); the reference
     backtrack  prefixes extended a letter at a time and merged by their
                used magnitudes, for one set or many packed at one order
@@ -157,8 +157,9 @@ def _halves(k: int) -> list[tuple[int, int, int]]:
 
 
 def _check_budget(n_max: int, sets: int) -> None:
-    # ValueError, at once, for a bad order and for an order whose estimated
-    # memory for a pass over this many sets is over budget.
+    # ValueError, at once, for a bad order, for an order whose estimated
+    # memory for a pass over this many sets is over budget, and then for one
+    # whose pass takes over _WORK_BUDGET steps.
     # Two adjacent layers are held at once: an 8-byte slot per pair of halves,
     # and per reached state an int of fields of about log2(2^n_max n_max!)
     # bits (lgamma, not factorial, answers any order at once) and 64 bytes, a
@@ -173,6 +174,15 @@ def _check_budget(n_max: int, sets: int) -> None:
     bits = n + math.lgamma(n + 1) / math.log(2)
     estimate = 8 * (h1 * h1 + h0 * h0) + (h5 * h5 + h4 * h4) * (sets * bits / 8 + 64)
     _check_bytes(n_max, sets, estimate)
+    # A step adds one successor's packed counts per bar.  Layer k has c_0 = 1
+    # half of need 0, c_1 = k + 1 of need 1 and c_2 = k(k + 1)/2 of need 2,
+    # and each reached pair, needing i + j <= n_max - k, takes k steps.
+    # Memory admits n_max only to about 80, so this sum is short.
+    steps = 0
+    for k in range(n_max + 1):
+        c = (1, k + 1, k * (k + 1) // 2)
+        steps += k * sum(c[i] * c[j] for i in range(3) for j in range(3) if i + j <= n_max - k)
+    _check_work(n_max, steps, "the transfer engine's", "steps")
 
 
 def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
@@ -180,8 +190,9 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
 
     Entry n of the result lists the order-n counts in the order of masks,
     a sequence of 8-bit pattern-set masks (repeats allowed).  A negative
-    n_max, a mask outside 0..255, or an n_max whose estimated memory for
-    these masks is over _BUDGET_BYTES raises ValueError before counting.
+    n_max, a mask outside 0..255, an n_max whose estimated memory for these
+    masks is over _BUDGET_BYTES, or one whose pass takes over _WORK_BUDGET
+    steps raises ValueError before counting.
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number
@@ -310,7 +321,7 @@ def count(n: int, tset: PatternSet, method: str = TRANSFER) -> CountResult:
     """Count order-n avoiders of tset with the engine named by method.
 
     The default, transfer, reads order n from one pass of the transfer
-    engine over tset alone, guarded by its memory estimate; naive,
+    engine over tset alone, guarded by its memory and work; naive,
     backtrack and mask are the oracles, each guarded by its work.
     """
     if method == TRANSFER:

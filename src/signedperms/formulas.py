@@ -17,25 +17,8 @@ from .core import PatternSet, _check_order
 from .symmetry import orbit_of_set
 
 __all__ = [
-    "FORMULA_IDS", "RegistryEntry", "catalan", "eval_formula", "fibonacci", "registry",
+    "FORMULA_IDS", "RegistryEntry", "eval_formula", "registry",
 ]
-
-
-def catalan(m: int) -> int:
-    """Catalan number C_m = C(2m, m) / (m + 1)."""
-    if type(m) is not int or m < 0:
-        raise ValueError(f"catalan index must be a nonnegative int, got {m!r}")
-    return binomial(2 * m, m) // (m + 1)
-
-
-def fibonacci(m: int) -> int:
-    """Fibonacci number F_m with F_1 = F_2 = 1."""
-    if type(m) is not int or m < 1:
-        raise ValueError(f"fibonacci index must be an int from 1, got {m!r}")
-    a, b = 1, 1
-    for _ in range(m - 1):
-        a, b = b, a + b
-    return a
 
 
 def _eq1(n: int) -> int:
@@ -77,7 +60,8 @@ def _eq6(n: int) -> int:
 
 
 def _eq7(n: int) -> int:
-    return catalan(n + 1)
+    # the Catalan number C_{n+1} = C(2n+2, n+1) / (n+2)
+    return binomial(2 * n + 2, n + 1) // (n + 2)
 
 
 def _eq8(n: int) -> int:
@@ -91,7 +75,11 @@ def _eq9(n: int) -> int:
 
 
 def _eq10(n: int) -> int:
-    return fibonacci(2 * n + 1)
+    # the Fibonacci number F_{2n+1}, with F_1 = F_2 = 1
+    a, b = 1, 1
+    for _ in range(2 * n):
+        a, b = b, a + b
+    return a
 
 
 def _eq11(n: int) -> int:

@@ -19,14 +19,12 @@ from signedperms import (
     all_orbits,
     apply,
     apply_to_set,
-    catalan,
     containment_mask,
     count_backtrack,
     count_naive,
     counts_all_subsets,
     eval_formula,
     export,
-    fibonacci,
     group_elements,
     iterate_Bn,
     load_cache,
@@ -132,11 +130,11 @@ def test_criterion_5_named_sequences():
 
         t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
         for n in range(8):
-            assert count_backtrack(n, t2).value == catalan(n + 1)
+            assert count_backtrack(n, t2).value == eval_formula("EQ7", n)
 
         t6 = PatternSet.parse(NAMED_TRIPLES["T_6"])
         fib_route = [count_backtrack(n, t6).value for n in range(8)]
-        assert fib_route == [fibonacci(2 * n + 1) for n in range(8)]
+        assert fib_route == [eval_formula("EQ10", n) for n in range(8)]
         for n in range(2, 8):
             assert fib_route[n] == 3 * fib_route[n - 1] - fib_route[n - 2]
 

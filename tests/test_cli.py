@@ -101,6 +101,17 @@ class TestCount:
         assert (code, out) == (2, "")
         assert "budget" in err
 
+    def test_over_work_exit_2(self, capsys):
+        # memory admits one set to order 78, but its pass of 7.9e9 steps is
+        # refused at once by work, as from order 43
+        start = time.perf_counter()
+        for argv in (("sequence", "--patterns", "1 -2, -1 2", "--n-max", "78"),
+                     ("count", "--patterns", "1 2", "--n", "43")):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert "transfer engine's work budget" in err, argv
+        assert time.perf_counter() - start < 1
+
     def test_takes_no_cap(self, capsys):
         # the oracles guard themselves by their work, so --cap is a usage error
         for command, order in (("count", "--n"), ("sequence", "--n-max")):
@@ -762,10 +773,10 @@ class TestClosedStdout:
 class TestImports:
     API = {
         "__version__", "all_orbits", "apply", "apply_to_set", "avoids", "BACKTRACK",
-        "barring", "catalan", "CensusRecord", "CensusTable", "complement",
+        "barring", "CensusRecord", "CensusTable", "complement",
         "containment_mask", "count", "count_backtrack", "count_mask", "count_naive",
         "CountResult", "counts_all_subsets", "EntryCheck", "eval_formula", "export",
-        "fibonacci", "FORMULA_IDS", "group_elements", "iterate_Bn", "load_cache", "MASK",
+        "FORMULA_IDS", "group_elements", "iterate_Bn", "load_cache", "MASK",
         "mask_histogram", "METHODS", "NAIVE", "Orbit", "orbit_of_set", "pair_index",
         "Pattern", "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry",
         "reversal", "run_census", "SupersededClaim", "SymmetryElement", "TRANSFER",

@@ -270,9 +270,48 @@ class TestTransfer:
                            r"over the budget of 2048 MB", str(info.value))
         assert stated, str(info.value)
         assert abs(int(stated[1]) - estimate) < estimate / 1000
-        # the census runs to order 33 and one set to order 78
+        # memory admits the census to order 33 and one set to order 78, but
+        # work refuses one set from order 43 (test_work_is_refused_at_once)
         assert budget_estimate(33, 256) <= 2**31 < budget_estimate(34, 256)
         assert budget_estimate(78, 1) <= 2**31 < budget_estimate(79, 1)
+
+    def test_work_is_refused_at_once(self, monkeypatch):
+        # a pass over 2^9 9! steps is refused before it counts: one set at
+        # order 43, which the memory estimate admits; order 42 passes every
+        # guard, and the kernel is made to stop once they have passed
+        class Admitted(Exception):
+            pass
+
+        def packing(*args):
+            raise Admitted
+
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="order 43 is over the transfer engine's "
+                                             "work budget of 185794560 steps"):
+            transfer_all_orders(43, [0])
+        assert time.perf_counter() - start < 1
+        monkeypatch.setattr(enumeration, "_packing", packing)
+        with pytest.raises(Admitted):
+            transfer_all_orders(42, [0])
+
+    def test_work_in_closed_form(self, monkeypatch):
+        # the guard's steps equal a direct sum over the reached pairs of each
+        # layer k, by the needs of _halves(k), of the k successors per bar
+        # that the kernel adds; 256 sets take the steps of one
+        priced = []
+        monkeypatch.setattr(enumeration, "_check_work", lambda n, work, *args: priced.append(work))
+        needs = [collections.Counter(h[2] for h in enumeration._halves(k)) for k in range(61)]
+        direct = [sum(k * c[i] * c[j] for k, c in enumerate(needs[: n_max + 1])
+                      for i in c for j in c if i + j <= n_max - k) for n_max in range(61)]
+        for n_max in range(61):
+            enumeration._check_budget(n_max, 1)
+        assert priced == direct
+        assert (direct[8], direct[33], direct[42], direct[43]) == (
+            3_559, 35_965_339, 166_089_445, 192_653_226)
+        assert direct[42] <= core._WORK_BUDGET < direct[43]
+        priced.clear()
+        enumeration._check_budget(33, 256)
+        assert priced == direct[33:34]
 
     def test_layer_sizes_in_closed_form(self, monkeypatch):
         # the estimate's premise: layer k has 1 + (k + 1)(k + 2)/2 halves,

@@ -1,4 +1,4 @@
-"""Closed forms: helper functions, evaluators, and the registry."""
+"""Closed forms: evaluators and the registry."""
 
 import math
 from fractions import Fraction
@@ -10,10 +10,8 @@ from signedperms import (
     FORMULA_IDS,
     PatternSet,
     all_orbits,
-    catalan,
     count_naive,
     eval_formula,
-    fibonacci,
     orbit_of_set,
     registry,
 )
@@ -43,21 +41,29 @@ def brute_compositions(n, min_part, num_parts=None):
 
 class TestHelpers:
     def test_catalan(self):
-        assert [catalan(m) for m in range(9)] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
-        # the convolution C_m = sum_j C_j C_{m-1-j}, not the closed form it uses
+        # EQ7 is C_{n+1}, checked against the convolution C_m = sum_j C_j
+        # C_{m-1-j} from C_0 = 1, not the closed form it uses
+        c = [1]
         for m in range(1, 31):
-            assert catalan(m) == sum(catalan(j) * catalan(m - 1 - j) for j in range(m))
+            c.append(sum(c[j] * c[m - 1 - j] for j in range(m)))
+        assert c[:9] == [1, 1, 2, 5, 14, 42, 132, 429, 1430]
+        assert [eval_formula("EQ7", m - 1) for m in range(1, 31)] == c[1:]
         with pytest.raises(ValueError):
-            catalan(-1)
+            eval_formula("EQ7", -1)
         with pytest.raises(ValueError):
-            catalan(True)  # a bool is not an index, though it equals 1
+            eval_formula("EQ7", True)  # a bool is not an order, though it equals 1
 
     def test_fibonacci(self):
-        assert [fibonacci(m) for m in range(1, 9)] == [1, 1, 2, 3, 5, 8, 13, 21]
+        # EQ10 is F_{2n+1}, checked against F_m = F_{m-1} + F_{m-2} from F_1 = F_2 = 1
+        f = [0, 1, 1]
+        while len(f) < 42:
+            f.append(f[-1] + f[-2])
+        assert f[1:9] == [1, 1, 2, 3, 5, 8, 13, 21]
+        assert [eval_formula("EQ10", m) for m in range(20)] == f[1:41:2]
         with pytest.raises(ValueError):
-            fibonacci(0)
+            eval_formula("EQ10", -1)
         with pytest.raises(ValueError):
-            fibonacci(True)  # a bool is not an index, though it equals 1
+            eval_formula("EQ10", True)  # a bool is not an order, though it equals 1
 
 
 class TestEvaluators:
