@@ -164,13 +164,22 @@ class TestPatternSet:
                 foreign in ps
 
     def test_operators(self):
-        # a set compares and hashes by its mask but neither orders nor
-        # combines, with another set or anything else: a sort passes a key
+        # a set compares and hashes by its mask but does not combine, with
+        # another set or anything else: a union is PatternSet(a.mask | b.mask)
         a = PatternSet.parse("1 2")
         b = PatternSet.parse("2 1")
         assert len(PatternSet(0xFF)) == 8
-        for op in (operator.lt, operator.le, operator.gt, operator.ge,
-                   operator.or_, operator.and_):
+        for op in (operator.or_, operator.and_):
+            for other in (b, 4, None, a.mask, {PATTERNS[0]}):
+                with pytest.raises(TypeError):
+                    op(a, other)
+
+    def test_ordering_by_mask(self):
+        # a set does not order, with another set or anything else: a sort
+        # orders by mask through its key
+        a = PatternSet.parse("1 2")
+        b = PatternSet.parse("2 1")
+        for op in (operator.lt, operator.le, operator.gt, operator.ge):
             for other in (b, 4, None, a.mask, {PATTERNS[0]}):
                 with pytest.raises(TypeError):
                     op(a, other)
