@@ -24,8 +24,8 @@ N_MAX = 7
 def main() -> None:
     for text, nickname in SHOWCASE:
         tset = PatternSet.parse(text)
-        rep = orbit_of_set(tset).representative
-        entry = next(e for e in registry() if e.canonical == rep)
+        members = orbit_of_set(tset).members
+        entry = next(e for e in registry() if e.patterns in members)
         enumerated = [count_backtrack(n, tset).value for n in range(N_MAX + 1)]
         closed = [eval_formula(entry.formula, n) for n in range(N_MAX + 1)]
         status = "ok" if enumerated == closed else "MISMATCH"

@@ -3,8 +3,9 @@
 run_census computes b_0..b_{n_max} for every orbit of pattern sets, checks
 each registered closed form against the enumerated values on its claimed
 range, and groups orbits whose sequences agree into Wilf classes.
-verify_registry reports the check of every registry entry.  Both take all
-their counts from one call to the transfer engine over the 256 sets,
+verify_registry reports the check of every registry entry.  Each takes all
+its counts from one call to the transfer engine, run_census over the 256
+sets and verify_registry over the 59 distinct sets that the registry names,
 guarded by its memory and work budgets, of which memory binds first.  All four
 counting subcommands (census, verify, count, sequence) check formulas in one
 loop, _check_registry.  export writes a table as JSON or CSV.  A census file
@@ -117,12 +118,14 @@ def run_census(n_max: int) -> CensusTable:
     memory budget admits n_max up to 33.
     """
     per_order = transfer_all_orders(n_max, range(256))
-    by_rep: dict[int, list[EntryCheck]] = {}
+    orbits = all_orbits()
+    orbit_ids = {member.mask: i for i, orb in enumerate(orbits) for member in orb.members}
+    by_orbit: dict[int, list[EntryCheck]] = {}
     for check in _check_registry(dict(enumerate(per_order))):
-        by_rep.setdefault(check.entry.canonical.mask, []).append(check)
+        by_orbit.setdefault(orbit_ids[check.entry.patterns.mask], []).append(check)
     class_ids: dict[tuple[int, ...], int] = {}
     records = []
-    for orbit_id, orb in enumerate(all_orbits()):
+    for orbit_id, orb in enumerate(orbits):
         rep_mask = orb.representative.mask
         seq = tuple(counts[rep_mask] for counts in per_order)
         for n, counts in enumerate(per_order):
@@ -130,7 +133,7 @@ def run_census(n_max: int) -> CensusTable:
                 raise RuntimeError(
                     f"orbit of {orb.representative} has unequal counts at order {n}"
                 )
-        checks = by_rep[rep_mask]
+        checks = by_orbit[orbit_id]
         details = tuple(
             f"{c.entry.name}/{c.entry.formula} at {m}"
             for c in checks
@@ -190,9 +193,12 @@ def verify_registry(n_max: int) -> VerificationReport:
     Each entry is checked on [min_n, n_max].  Orders below min_n where the
     formula happens to match anyway are reported as informational notes.
     The superseded historical claims are recomputed and shown to disagree
-    with enumeration at their witness orders.
+    with enumeration at their witness orders.  All counts come from one
+    transfer-engine pass over the 59 distinct sets that the entries name,
+    whose memory budget admits n_max up to 42.
     """
-    per_order = transfer_all_orders(n_max, range(256))
+    masks = sorted({entry.patterns.mask for entry in registry()})
+    per_order = [dict(zip(masks, row)) for row in transfer_all_orders(n_max, masks)]
     superseded = tuple(
         SupersededClaim(ps, description, n, value_fn(n), per_order[n][ps.mask])
         for ps, description, value_fn, n in _SUPERSEDED

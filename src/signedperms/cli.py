@@ -42,8 +42,8 @@ def _parse_patterns(text: str) -> PatternSet:
 def _check_formulas(tset: PatternSet, counted: dict[int, int]) -> int:
     # 1, after a line on stderr for each mismatch that _check_registry finds in
     # the entries of tset's orbit, whose counts are all equal to tset's
-    rep = orbit_of_set(tset).representative
-    entries = tuple(entry for entry in registry() if entry.canonical == rep)
+    members = orbit_of_set(tset).members
+    entries = tuple(entry for entry in registry() if entry.patterns in members)
     per_order = {n: {e.patterns.mask: v for e in entries} for n, v in counted.items()}
     lines = [f"mismatch: {c.entry.name}/{c.entry.formula} at {m}\n"
              for c in _check_registry(per_order, entries) for m in c.mismatches]

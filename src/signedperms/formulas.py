@@ -14,10 +14,9 @@ from math import factorial
 from typing import NamedTuple
 
 from .core import PatternSet, _check_order
-from .symmetry import orbit_of_set
 
 __all__ = [
-    "FORMULA_IDS", "RegistryEntry", "eval_formula", "registry",
+    "RegistryEntry", "eval_formula", "registry",
 ]
 
 
@@ -106,8 +105,8 @@ def _th5_5(n: int) -> int:
     return (n + 1) * factorial(n - 1)
 
 
-# each id maps to (claim, evaluator); the claim restates the identity
-# b_n = formula(n) for human readers and fills every registry entry's claim.
+# each id maps to (claim, evaluator); the claim states the identity
+# b_n = formula(n) for human readers, once for every entry citing the id.
 # An id whose closed form an earlier id already states holds that id's entry.
 _EVALUATORS = {
     "EQ1": ("b_n = sum_k C(n,k)^2 k!", _eq1),
@@ -154,9 +153,6 @@ _EVALUATORS = {
     "EMPTYSET": ("b_n = 2^n n!", lambda n: 2**n * factorial(n)),
 }
 
-FORMULA_IDS: tuple[str, ...] = tuple(_EVALUATORS)
-
-
 def eval_formula(formula_id: str, n: int) -> int:
     """Exact value of the named closed form at order n (total for n >= 0)."""
     _check_order(n)
@@ -170,23 +166,18 @@ def eval_formula(formula_id: str, n: int) -> int:
 class RegistryEntry(NamedTuple):
     """One claimed identity: a named pattern set and its closed form.
 
-    patterns is the set as classically written; canonical is its orbit
-    representative.  The identity b_n(patterns) = formula(n) is claimed for
-    all n >= min_n, and claim restates it for human readers.
+    patterns is the set as classically written.  The identity
+    b_n(patterns) = formula(n) is claimed for all n >= min_n.
     """
 
     name: str
     patterns: PatternSet
-    canonical: PatternSet
     formula: str
     min_n: int
-    claim: str
 
 
 def _entry(name: str, text: str, formula: str, min_n: int) -> RegistryEntry:
-    ps = PatternSet.parse(text)
-    claim = _EVALUATORS[formula][0]
-    return RegistryEntry(name, ps, orbit_of_set(ps).representative, formula, min_n, claim)
+    return RegistryEntry(name, PatternSet.parse(text), formula, min_n)
 
 
 @cache

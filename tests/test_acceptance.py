@@ -219,7 +219,7 @@ def test_criterion_9_persistence_and_mutation(tmp_path, monkeypatch, capsys):
         capsys.readouterr()
 
         rng = random.Random(97)
-        victim = rng.choice(sorted(formulas.FORMULA_IDS))
+        victim = rng.choice(sorted(formulas._EVALUATORS))
         claim, original = formulas._EVALUATORS[victim]
         monkeypatch.setitem(
             formulas._EVALUATORS, victim, (claim, lambda n: original(n) + 1)

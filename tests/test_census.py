@@ -8,6 +8,7 @@ import pickle
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -290,6 +291,42 @@ class TestVerifyRegistry:
         assert by_name["U4_2"].holds_below == (0, 1, 2)
         assert by_name["W_4"].holds_below == (2,)
         assert by_name["T_1"].holds_below == ()
+
+    def test_packs_only_the_registry_sets(self, monkeypatch):
+        # one engine call, over the 59 distinct sets the 67 entries name,
+        # which hold both superseded claims' sets
+        calls = []
+
+        def recording(n_max, masks):
+            calls.append((n_max, list(masks)))
+            return transfer_all_orders(n_max, masks)
+
+        monkeypatch.setattr(census, "transfer_all_orders", recording)
+        verify_registry(5)
+        distinct = {e.patterns.mask for e in formulas.registry()}
+        assert len(distinct) == 59
+        assert calls == [(5, sorted(distinct))]
+        assert {ps.mask for ps, *_ in census._SUPERSEDED} <= distinct
+
+    def test_report_equals_a_256_set_pass(self):
+        full = transfer_all_orders(12, range(256))
+        for n_max in range(13):
+            per_order = full[: n_max + 1]
+            report = verify_registry(n_max)
+            assert report.checks == census._check_registry(dict(enumerate(per_order)))
+            assert report.superseded == tuple(
+                census.SupersededClaim(ps, description, n, value_fn(n), per_order[n][ps.mask])
+                for ps, description, value_fn, n in census._SUPERSEDED
+                if n <= n_max
+            )
+
+    def test_order_43_is_refused_at_once(self):
+        # memory admits 59 sets through order 42, against 33 for all 256
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"order 43 on 59 set\(s\) needs an estimated "
+                           r"2064 MB, over the budget"):
+            verify_registry(43)
+        assert time.perf_counter() - start < 1
 
     def test_detects_a_broken_formula(self, monkeypatch):
         claim = formulas._EVALUATORS["EQ11"][0]

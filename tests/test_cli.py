@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -684,6 +685,17 @@ class TestVerify:
             (entry.name, entry.min_n, 2) for entry in formulas.registry()
         ]
 
+    def test_past_order_42_is_refused_at_once(self, capsys):
+        # verify packs the registry's 59 sets, census all 256: each is refused
+        # by its memory estimate before anything is counted
+        for argv, sets in (("verify", "--n-max", "43"), 59), (("census", "--n-max", "34"), 256):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            assert time.perf_counter() - start < 1
+            assert (code, out) == (2, "")
+            assert re.fullmatch(rf"error: order {argv[-1]} on {sets} set\(s\) needs an "
+                                r"estimated \d+ MB, over the budget of 2048 MB\n", err), err
+
     def test_seeded_mutation_exit_1(self, capsys, monkeypatch):
         claim = formulas._EVALUATORS["EQ12"][0]
         monkeypatch.setitem(formulas._EVALUATORS, "EQ12", (claim, lambda n: 2**n - n))
@@ -776,7 +788,7 @@ class TestImports:
         "barring", "CensusRecord", "CensusTable", "complement",
         "containment_mask", "count", "count_backtrack", "count_mask", "count_naive",
         "CountResult", "counts_all_subsets", "EntryCheck", "eval_formula", "export",
-        "FORMULA_IDS", "group_elements", "iterate_Bn", "load_cache", "MASK",
+        "group_elements", "iterate_Bn", "load_cache", "MASK",
         "mask_histogram", "METHODS", "NAIVE", "Orbit", "orbit_of_set", "pair_index",
         "Pattern", "pattern_of", "PATTERNS", "PatternSet", "registry", "RegistryEntry",
         "reversal", "run_census", "SupersededClaim", "SymmetryElement", "TRANSFER",

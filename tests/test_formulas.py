@@ -7,13 +7,13 @@ from math import comb, factorial
 import pytest
 
 from signedperms import (
-    FORMULA_IDS,
     PatternSet,
     all_orbits,
     count_naive,
     eval_formula,
     orbit_of_set,
     registry,
+    RegistryEntry,
 )
 from signedperms import formulas
 from conftest import NAMED_TRIPLES
@@ -68,7 +68,7 @@ class TestHelpers:
 
 class TestEvaluators:
     def test_totality(self):
-        for fid in FORMULA_IDS:
+        for fid in formulas._EVALUATORS:
             for n in range(101):
                 v = eval_formula(fid, n)
                 assert isinstance(v, int) and v >= 0
@@ -175,9 +175,9 @@ class TestEvaluators:
         # two ids hold the same (claim, evaluator) entry exactly when their
         # values agree at every order 0..40: 37 ids, 29 closed forms
         entries = formulas._EVALUATORS
-        values = {f: [eval_formula(f, n) for n in range(41)] for f in FORMULA_IDS}
-        for a in FORMULA_IDS:
-            for b in FORMULA_IDS:
+        values = {f: [eval_formula(f, n) for n in range(41)] for f in entries}
+        for a in entries:
+            for b in entries:
                 assert (entries[a] is entries[b]) == (values[a] == values[b]), (a, b)
         assert len(entries) == 37
         assert len({id(entry) for entry in entries.values()}) == 29
@@ -198,17 +198,25 @@ class TestRegistry:
         assert len(set(names)) == len(names)
 
     def test_canonical_is_orbit_minimum(self):
+        # an entry's orbit is found from its patterns alone, led by the
+        # member of least mask
+        reps = {o.representative for o in all_orbits()}
         for e in registry():
-            assert e.canonical == orbit_of_set(e.patterns).representative
+            orbit = orbit_of_set(e.patterns)
+            assert e.patterns in orbit.members
+            assert orbit.representative in reps
+            assert orbit.representative.mask == min(m.mask for m in orbit.members)
 
     def test_formula_ids_known(self):
+        # each entry cites an id, whose claim is written once, in _EVALUATORS
+        assert RegistryEntry._fields == ("name", "patterns", "formula", "min_n")
         for e in registry():
-            assert e.formula in FORMULA_IDS
+            assert e.formula in formulas._EVALUATORS
             assert e.min_n >= 0
-            assert e.claim.startswith("b_n")
+            assert formulas._EVALUATORS[e.formula][0].startswith("b_n")
 
     def test_every_orbit_is_covered(self):
-        covered = {e.canonical for e in registry()}
+        covered = {orbit_of_set(e.patterns).representative for e in registry()}
         assert covered == {o.representative for o in all_orbits()}
 
     def test_named_triples_present(self):
@@ -240,7 +248,7 @@ class TestRegistry:
     def test_entries_for_orbit_mates(self):
         def names_for(tset):
             rep = orbit_of_set(tset).representative
-            return {e.name for e in registry() if e.canonical == rep}
+            return {e.name for e in registry() if orbit_of_set(e.patterns).representative == rep}
 
         t6 = PatternSet.parse(NAMED_TRIPLES["T_6"])
         assert names_for(t6) == {"T_6"}
@@ -252,7 +260,7 @@ class TestRegistry:
         assert names_for(moved) == {"T_6"}
 
     def test_extension_entries_share_orbits_with_u_sets(self):
-        by_name = {e.name: e for e in registry()}
-        assert by_name["T_1+{-1 -2}"].canonical == by_name["U4_1"].canonical
-        assert by_name["T_3+{-1 -2}"].canonical == by_name["U4_5"].canonical
-        assert by_name["T_8+{-2 1}"].canonical == by_name["U4_15"].canonical
+        rep = {e.name: orbit_of_set(e.patterns).representative for e in registry()}
+        assert rep["T_1+{-1 -2}"] == rep["U4_1"]
+        assert rep["T_3+{-1 -2}"] == rep["U4_5"]
+        assert rep["T_8+{-2 1}"] == rep["U4_15"]
