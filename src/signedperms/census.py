@@ -117,7 +117,7 @@ def run_census(n_max: int) -> CensusTable:
     All orders come from one transfer-engine pass over the 256 sets, whose
     memory budget admits n_max up to 33.
     """
-    per_order = transfer_all_orders(n_max, range(256))
+    per_order = list(transfer_all_orders(n_max, range(256)))
     orbits = all_orbits()
     orbit_ids = {member.mask: i for i, orb in enumerate(orbits) for member in orb.members}
     by_orbit: dict[int, list[EntryCheck]] = {}

@@ -1,14 +1,15 @@
 """Command line interface.
 
 Subcommands: count, sequence, orbits, census, verify.  Each writes its
-output to stdout; census keeps a --cache file, the only file left behind,
-which must equal a fresh census at its own order, and replaces it only with a
-deeper census.  Output is byte identical across runs for the same inputs; the
-whole subcommand's elapsed time goes to stderr, and only under --timing.
-Exit codes: 0 success, 1 verification found a mismatch (for count and
-sequence, a count that differs from a registered formula), 2 usage or input
-error, 141 (128 + SIGPIPE) with nothing on stderr when stdout is closed
-before the output is written.
+output to stdout, plain sequence one line per order as soon as it is counted;
+census keeps a --cache file, the only file left behind, which must equal a
+fresh census at its own order, and replaces it only with a deeper census.
+Output is byte identical across runs for the same inputs; the whole
+subcommand's elapsed time goes to stderr, and only under --timing.  Exit
+codes: 0 success, 1 verification found a mismatch (for count and sequence,
+a count that differs from a registered formula), 2 usage or input error,
+141 (128 + SIGPIPE) with nothing on stderr when stdout is closed before the
+output is written.
 """
 
 import argparse
@@ -56,7 +57,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     result = count(args.n, tset, method=args.method)
     if args.format == "json":
         print(json.dumps({"n": result.n, "patterns": tset.text(),
-                          "method": result.method, "value": str(result.value)}))
+                          "method": args.method, "value": str(result.value)}))
     else:
         print(result.value)
     return _check_formulas(tset, {args.n: result.value})
@@ -64,26 +65,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
-    if args.method == TRANSFER:
-        values = [c[0] for c in transfer_all_orders(args.n_max, [tset.mask])]
-    else:
-        # an oracle's work grows with n, so counting order n_max first (even
-        # a negative one) refuses the order range before any order is counted
-        values = [count(n, tset, method=args.method).value
-                  for n in range(args.n_max, min(args.n_max, 0) - 1, -1)][::-1]
+    values: list[int] = []
+    for n, (v,) in enumerate(transfer_all_orders(args.n_max, [tset.mask])):
+        values.append(v)
+        if args.format == "plain":  # each order as soon as it is counted
+            print(n, v, flush=True)
     if args.format == "json":
         doc = {
             "patterns": tset.text(),
-            "method": args.method,
+            "method": TRANSFER,
             "n_max": args.n_max,
             "values": [str(v) for v in values],
         }
         print(json.dumps(doc))
     elif args.format == "csv":
         print(",".join(str(v) for v in values))
-    else:
-        for n, v in enumerate(values):
-            print(n, v)
     return _check_formulas(tset, dict(enumerate(values)))
 
 
@@ -193,20 +189,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output format (default %(default)s)")
 
     patterns_help = 'comma-separated patterns, e.g. "1 2, -2 1"'
-    method_help = ("transfer (default) is the counting core; naive, backtrack and "
-                   "mask are oracles that refuse jobs over 2^9 9! words or prefixes")
 
     p_count = sub.add_parser("count", help="count avoiders of a pattern set at one order")
     p_count.add_argument("--patterns", required=True, help=patterns_help)
     p_count.add_argument("--n", type=int, required=True, help="order to count at")
-    p_count.add_argument("--method", choices=METHODS, default=TRANSFER, help=method_help)
+    p_count.add_argument("--method", choices=METHODS, default=TRANSFER,
+                         help="transfer (default) is the counting core; naive, backtrack and "
+                         "mask are oracles that refuse jobs over 2^9 9! words or prefixes")
     common(p_count, ("plain", "json"))
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="count avoiders for all orders 0..n-max")
     p_seq.add_argument("--patterns", required=True, help=patterns_help)
     p_seq.add_argument("--n-max", type=int, required=True, help="last order to count at")
-    p_seq.add_argument("--method", choices=METHODS, default=TRANSFER, help=method_help)
     common(p_seq, ("plain", "json", "csv"))
     p_seq.set_defaults(func=_cmd_sequence)
 

@@ -15,18 +15,18 @@
 naive, backtrack and mask are oracles, each refused before it counts by its
 own work: naive and mask visit all 2^n n! words and backtrack makes 2n
 3^(n-1) moves, and a job over 2^9 9! of them is refused; backtrack also
-refuses two widest layers over the memory budget.  count and sequence run
-them only by name, and the tests check transfer against them.  naive and
-mask share nothing with transfer but the fixed pattern indexing, so
-agreement with them is strong evidence of correctness; backtrack and
-transfer share the extension tables and the packing, not the gap states.
-Only mask uses numpy, imported when it first runs, in a single process.
+refuses two widest layers over the memory budget.  count runs them only
+by name, and the tests check transfer against them.  naive and mask share
+nothing with transfer but the fixed pattern indexing, so agreement with
+them is strong evidence of correctness; backtrack and transfer share the
+extension tables and the packing, not the gap states.  Only mask uses
+numpy, imported when it first runs, in a single process.
 """
 
 import bisect
 import itertools
 import math
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import (
     _PAIR_INDEX, PatternSet, _check_group, _check_order, _check_work, avoids, iterate_Bn,
@@ -185,14 +185,14 @@ def _check_budget(n_max: int, sets: int) -> None:
     _check_work(n_max, steps, "the transfer engine's", "steps")
 
 
-def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
-    """Avoider counts of the listed sets at orders 0..n_max.
+def transfer_all_orders(n_max: int, masks: Sequence[int]) -> Iterator[list[int]]:
+    """Avoider counts of the listed sets at orders 0..n_max, order by order.
 
-    Entry n of the result lists the order-n counts in the order of masks,
-    a sequence of 8-bit pattern-set masks (repeats allowed).  A negative
-    n_max, a mask outside 0..255, an n_max whose estimated memory for these
-    masks is over _BUDGET_BYTES, or one whose pass takes over _WORK_BUDGET
-    steps raises ValueError before counting.
+    Yields order n's counts, in the order of masks, a sequence of 8-bit
+    pattern-set masks (repeats allowed), as soon as layer n is built.  A
+    negative n_max, a mask outside 0..255, an n_max whose estimated memory
+    for these masks is over _BUDGET_BYTES, or one whose pass takes over
+    _WORK_BUDGET steps raises ValueError at the call, before any layer.
 
     Which patterns the next letter adds depends only on the four summary
     bits of _added, so a prefix's future depends only on k, the number
@@ -220,9 +220,13 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
     _check_budget(n_max, len(masks))
-    width, ones, keep = _packing(n_max, masks)
+    return _layers(n_max, len(masks), *_packing(n_max, masks))
+
+
+def _layers(n_max: int, sets: int, width: int, ones: int, keep: list[int]) -> Iterator[list[int]]:
+    # transfer_all_orders' pass, a generator of its own so that the checks run at the call
     field = (1 << width) - 1
-    out, layer, halves = [], [], []
+    layer, halves = [], []
     for k in range(n_max + 1):
         index = {(lo, hi): i for i, (lo, hi, _) in enumerate(halves)}
         prev, P, layer, halves = layer, len(halves), [], _halves(k)
@@ -251,8 +255,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> list[list[int]]:
                     vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
                 layer.append(vec)
             layer += [0] * (len(halves) - m)  # pairs never reached
-        out.append([layer[0] >> width * i & field for i in range(len(masks))])
-    return out
+        yield [layer[0] >> width * i & field for i in range(sets)]
 
 
 def mask_histogram(n: int) -> dict[int, int]:
@@ -325,7 +328,7 @@ def count(n: int, tset: PatternSet, method: str = TRANSFER) -> CountResult:
     backtrack and mask are the oracles, each guarded by its work.
     """
     if method == TRANSFER:
-        return CountResult(n, tset, transfer_all_orders(n, [tset.mask])[n][0], TRANSFER)
+        return CountResult(n, tset, list(transfer_all_orders(n, [tset.mask]))[n][0], TRANSFER)
     oracle = _ORACLES.get(method)
     if oracle is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

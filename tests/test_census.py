@@ -107,7 +107,7 @@ class TestRunCensus:
         engine = census.transfer_all_orders
 
         def skewed(n_max, masks):
-            per_order = engine(n_max, masks)
+            per_order = list(engine(n_max, masks))
             per_order[3][member.mask] += 1
             return per_order
 
@@ -309,7 +309,7 @@ class TestVerifyRegistry:
         assert {ps.mask for ps, *_ in census._SUPERSEDED} <= distinct
 
     def test_report_equals_a_256_set_pass(self):
-        full = transfer_all_orders(12, range(256))
+        full = list(transfer_all_orders(12, range(256)))
         for n_max in range(13):
             per_order = full[: n_max + 1]
             report = verify_registry(n_max)

@@ -1,6 +1,7 @@
 """Command line behavior: output, determinism, exit codes, imports."""
 
 import ast
+import io
 import json
 import os
 import re
@@ -152,7 +153,7 @@ class TestFormulaCheck:
 
     def test_a_wrong_count_exits_1(self, capsys, monkeypatch):
         def off_by_one(n_max, masks):
-            counts = engine(n_max, masks)
+            counts = list(engine(n_max, masks))
             counts[7][0] += 1
             return counts
 
@@ -181,7 +182,7 @@ class TestFormulaCheck:
     def test_every_subcommand_words_a_mismatch_alike(self, capsys, monkeypatch):
         # one count of T_2's orbit at order 7 off by one, in each engine call
         def off_by_one(n_max, masks):
-            counts = engine(n_max, masks)
+            counts = list(engine(n_max, masks))
             for i, mask in enumerate(masks):
                 if mask in orbit and n_max >= 7:
                     counts[7][i] += 1
@@ -242,16 +243,6 @@ class TestSequence:
         assert code == 0
         assert out == "0 1\n1 2\n2 5\n3 13\n"
 
-    def test_json(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sequence", "--patterns", "1 2, -1 -2", "--n-max", "5",
-            "--format", "json", "--method", "mask",
-        )
-        doc = json.loads(out)
-        assert doc["values"] == ["1", "2", "6", "20", "70", "252"]
-        assert doc["method"] == "mask"
-
     def test_default_makes_one_engine_call(self, capsys, monkeypatch):
         calls = []
 
@@ -268,15 +259,41 @@ class TestSequence:
         assert (code, out) == (0, "1,2,7,34,209,1546,13327\n")
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("method", ["transfer", "naive", "backtrack", "mask"])
-    def test_bad_order_range_exit_2(self, capsys, method):
+    def test_bad_order_range_exit_2(self, capsys):
         for n_max in ("-1", "100"):
-            code, out, err = run(
-                capsys, "sequence", "--patterns", "1 2", "--n-max", n_max,
-                "--method", method,
-            )
+            code, out, err = run(capsys, "sequence", "--patterns", "1 2", "--n-max", n_max)
             assert (code, out) == (2, "")
             assert "error:" in err
+
+    def test_method_is_a_usage_error(self, capsys):
+        # sequence always counts with the transfer engine; the oracles are
+        # reached through count --method
+        code, out, err = run(capsys, "sequence", "--patterns", "1 2", "--n-max", "3",
+                             "--method", "naive")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: signedperms")
+        assert "error: unrecognized arguments: --method naive" in err
+
+    def test_plain_prints_each_order_before_the_next_layer(self, monkeypatch):
+        # what stdout has flushed each time the engine is asked for the next order
+        class Stdout(io.StringIO):
+            flushed = ""
+
+            def flush(self):
+                self.flushed = self.getvalue()
+
+        def recording(n_max, masks):
+            for counts in engine(n_max, masks):
+                seen.append(out.flushed)
+                yield counts
+
+        engine, seen, out = cli.transfer_all_orders, [], Stdout()
+        monkeypatch.setattr(cli, "transfer_all_orders", recording)
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.main(["sequence", "--patterns", "1 2, 1 -2, -1 -2", "--n-max", "5"]) == 0
+        lines = [f"{n} {v}\n" for n, v in enumerate([1, 2, 5, 14, 42, 132])]
+        assert out.getvalue() == "".join(lines)
+        assert seen == ["".join(lines[:k]) for k in range(6)]
 
     def test_catalan_sequence(self, capsys):
         code, out, _ = run(
@@ -286,31 +303,6 @@ class TestSequence:
         )
         assert (code, out) == (0, "1,2,5,14,42,132\n")
 
-    def test_backtrack_past_order_9(self, capsys):
-        # this set's avoiders number 1 + n(n+1)/2, so backtracking to order 10
-        # visits few prefixes and the work budget admits it with no flag
-        code, out, _ = run(
-            capsys, "sequence", "--patterns", "1 2, 1 -2, -1 -2, 2 1", "--n-max", "10",
-            "--method", "backtrack", "--format", "csv",
-        )
-        assert (code, out) == (0, "1,2,4,7,11,16,22,29,37,46,56\n")
-
-    def test_oracle_refuses_before_counting(self, capsys, monkeypatch):
-        # order n_max is counted first, so a refused range counts no order
-        orders = []
-
-        def recorded(n, *args, **kwargs):
-            orders.append(n)
-            return oracle(n, *args, **kwargs)
-
-        oracle = cli.count
-        monkeypatch.setattr(cli, "count", recorded)
-        code, out, err = run(
-            capsys, "sequence", "--patterns", "1 2", "--n-max", "10",
-            "--method", "naive",
-        )
-        assert (code, out, orders) == (2, "", [10])
-        assert "work budget" in err
 
 
 class TestOrbits:
@@ -499,7 +491,7 @@ class TestCensus:
         engine = signedperms.census.transfer_all_orders
 
         def raised(n_max, masks):
-            per_order = engine(n_max, masks)
+            per_order = list(engine(n_max, masks))
             for member in orbit.members:
                 per_order[8][member.mask] += 1
             return per_order

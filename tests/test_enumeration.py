@@ -222,8 +222,8 @@ class TestTransfer:
         # same orders must come out of every width
         wide = [list(per.values()) for per in transfer_to(14)]
         for m in range(9):
-            narrow = transfer_all_orders(m, range(256))
-            assert narrow == transfer_all_orders(m + 3, range(256))[: m + 1], m
+            narrow = list(transfer_all_orders(m, range(256)))
+            assert narrow == list(transfer_all_orders(m + 3, range(256)))[: m + 1], m
             assert narrow == wide[: m + 1], m
 
     def test_extreme_fields_at_order_14(self):
@@ -243,7 +243,7 @@ class TestTransfer:
 
     def test_order_range(self):
         # order 33 is the census's last within the memory budget
-        assert transfer_all_orders(0, range(256)) == [[1] * 256]
+        assert list(transfer_all_orders(0, range(256))) == [[1] * 256]
         with pytest.raises(ValueError, match="order 34 on 256 set.* over the budget"):
             transfer_all_orders(34, range(256))
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
@@ -371,25 +371,54 @@ class TestTransfer:
         # half indices pass the small-int cache from layer 22 (H = 277 halves);
         # {1 2} has sum_k C(n,k)^2 k! avoiders (EQ1) and T_2 Catalan C(n+1) (EQ7)
         t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
-        per_order = transfer_all_orders(22, [PatternSet.parse("1 2").mask, t2.mask])
+        per_order = list(transfer_all_orders(22, [PatternSet.parse("1 2").mask, t2.mask]))
         assert per_order == [
             [sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1)),
              math.comb(2 * n + 2, n + 1) // (n + 2)]
             for n in range(23)
         ]
 
+    def test_refuses_at_the_call_and_yields_order_by_order(self):
+        # a refusal comes when the call is made, before any next; an admitted
+        # pass hands out its orders one at a time
+        for n_max, masks in ((100, [0]), (3, [256])):
+            with pytest.raises(ValueError):
+                transfer_all_orders(n_max, masks)
+        orders = transfer_all_orders(2, [0])
+        assert iter(orders) is orders
+        assert [next(orders), next(orders), next(orders)] == [[1], [2], [8]]
+        with pytest.raises(StopIteration):
+            next(orders)
+
     def test_returns_without_keeping_its_states(self):
-        # the layers must be freed when the call returns, not left for the
-        # cyclic collector
+        # the layers must be freed when the last order is yielded, not left
+        # for the cyclic collector
         gc.disable()
         tracemalloc.start()
         try:
-            transfer_all_orders(10, range(256))
+            assert len(list(transfer_all_orders(10, range(256)))) == 11
             left, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             gc.enable()
         assert left < 1 << 20
+
+    def test_dropped_early_keeps_no_states(self):
+        # a pass abandoned after order 3 frees its layers when it is dropped
+        gc.disable()
+        tracemalloc.start()
+        try:
+            orders = transfer_all_orders(30, range(256))
+            first = list(itertools.islice(orders, 4))
+            held, _ = tracemalloc.get_traced_memory()
+            del orders
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert first == [list(per.values()) for per in transfer_to(3)]
+        assert held > 1 << 19
+        assert left < held // 20
 
 
 class TestPackedKernel:
@@ -398,7 +427,7 @@ class TestPackedKernel:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10), st.lists(st.integers(0, 255), max_size=12))
     def test_fields_follow_the_list(self, n, masks):
-        packed = transfer_all_orders(n, masks)
+        packed = list(transfer_all_orders(n, masks))
         assert len(packed) == n + 1
         for k, per in enumerate(transfer_to(n)):
             assert packed[k] == [per[PatternSet(m)] for m in masks], k
@@ -406,7 +435,7 @@ class TestPackedKernel:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 6), pattern_sets)
     def test_one_set_matches_naive(self, n, tset):
-        assert transfer_all_orders(n, [tset.mask])[n] == [count_naive(n, tset).value]
+        assert list(transfer_all_orders(n, [tset.mask]))[n] == [count_naive(n, tset).value]
 
     @pytest.mark.parametrize("name", sorted(NAMED_TRIPLES))
     def test_one_set_matches_backtrack_through_order_8(self, name):
@@ -598,7 +627,8 @@ class TestWorkBudget:
 class TestMemo:
     @pytest.mark.parametrize("n", range(11))
     def test_all_sets_match_transfer_through_order_10(self, n):
-        assert enumeration._memo_counts(n, range(256)) == transfer_all_orders(n, range(256))[n]
+        transfer = list(transfer_all_orders(n, range(256)))[n]
+        assert enumeration._memo_counts(n, range(256)) == transfer
 
     @pytest.mark.parametrize("n", range(9))
     def test_all_sets_match_the_histogram_through_order_8(self, n):
