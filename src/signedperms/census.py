@@ -77,7 +77,7 @@ class EntryCheck(NamedTuple):
     holds_below: tuple[int, ...]
 
 
-def _check_registry(per_order: dict[int, list[int] | dict[int, int]],
+def _check_registry(per_order: dict[int, dict[int, int]],
                     entries: tuple[RegistryEntry, ...] | None = None) -> tuple[EntryCheck, ...]:
     # the one place formulas meet counts: each entry (all of registry() in
     # order by default) against per_order[n][mask] for every order n listed;
@@ -195,10 +195,9 @@ def verify_registry(n_max: int) -> VerificationReport:
     The superseded historical claims are recomputed and shown to disagree
     with enumeration at their witness orders.  All counts come from one
     transfer-engine pass over the 59 distinct sets that the entries name,
-    whose memory budget admits n_max up to 42.
+    read by mask; its memory budget admits n_max up to 42.
     """
-    masks = sorted({entry.patterns.mask for entry in registry()})
-    per_order = [dict(zip(masks, row)) for row in transfer_all_orders(n_max, masks)]
+    per_order = list(transfer_all_orders(n_max, {entry.patterns.mask for entry in registry()}))
     superseded = tuple(
         SupersededClaim(ps, description, n, value_fn(n), per_order[n][ps.mask])
         for ps, description, value_fn, n in _SUPERSEDED

@@ -66,7 +66,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _cmd_sequence(args: argparse.Namespace) -> int:
     tset = _parse_patterns(args.patterns)
     values: list[int] = []
-    for n, (v,) in enumerate(transfer_all_orders(args.n_max, [tset.mask])):
+    for n, v in enumerate(row[tset.mask] for row in transfer_all_orders(args.n_max, [tset.mask])):
         values.append(v)
         if args.format == "plain":  # each order as soon as it is counted
             print(n, v, flush=True)

@@ -1,10 +1,10 @@
 """Engines for counting pattern-avoiding signed permutations.
 
-    transfer   gap-state layer recurrence: b_n(T) for any list of sets T
-               and every order up to n_max in one pass, in time polynomial
-               in n_max, each state's counts packed into one Python int;
-               the core behind every command that counts, guarded by
-               estimates of its memory and its work
+    transfer   gap-state layer recurrence: b_n(T), keyed by T's mask, for
+               any sets T and every order up to n_max in one pass, in time
+               polynomial in n_max, each state's counts packed into one
+               Python int; the core behind every command that counts,
+               guarded by estimates of its memory and its work
     naive      filter the full group through avoids(); the reference
     backtrack  prefixes extended a letter at a time and merged by their
                used magnitudes, for one set or many packed at one order
@@ -26,7 +26,7 @@ numpy, imported when it first runs, in a single process.
 import bisect
 import itertools
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import Collection, Iterator, NamedTuple
 
 from .core import (
     _PAIR_INDEX, PatternSet, _check_group, _check_order, _check_work, avoids, iterate_Bn,
@@ -76,11 +76,11 @@ _EXTEND_UNBARRED, _EXTEND_BARRED = (
 )
 
 
-def _packing(n_max: int, masks: Sequence[int]) -> tuple[int, int, list[int]]:
+def _packing(n_max: int, masks: Collection[int]) -> tuple[int, int, list[int]]:
     # ValueError for a mask outside 0..255; else the width W of fields that
-    # hold counts to 2^n_max n_max!, masks[i]'s in bits [W*i, W*(i+1)), a 1
+    # hold counts to 2^n_max n_max!, the i-th mask's in bits [W*i, W*(i+1)), a 1
     # in every field, and keep[s] (unbarred move) and keep[16 + s] (barred
-    # move): all-ones fields of the listed sets that a move with summary s avoids
+    # move): all-ones fields of the given sets that a move with summary s avoids
     for t in masks:
         if type(t) is not int or not 0 <= t < 256:
             raise ValueError(f"mask {t} is not a pattern-set mask in 0..255")
@@ -109,13 +109,13 @@ def _check_bytes(n: int, sets: int, estimate: float) -> None:
 _PAIR_BYTES = 200
 
 
-def _memo_counts(n: int, masks: Sequence[int]) -> list[int]:
-    # Order-n avoider counts of the listed sets.  A prefix's future depends
-    # only on its used magnitudes, unbarred and barred: layer d maps each such
-    # pair, keyed used_u | used_b << n, to the packed counts of its avoiding
-    # d-letter prefixes.  Refused before it counts: over 2n 3^(n-1) moves, one
-    # per pair and letter, reckoned at min(n, 64), or over the byte budget
-    # for two widest layers of max_k C(n, k) 2^k pairs.
+def _memo_counts(n: int, masks: Collection[int]) -> dict[int, int]:
+    # Order-n avoider counts of the given sets, keyed by mask.  A prefix's
+    # future depends only on its used magnitudes, unbarred and barred: layer d
+    # maps each such pair, keyed used_u | used_b << n, to the packed counts of
+    # its avoiding d-letter prefixes.  Refused before it counts: over 2n
+    # 3^(n-1) moves, one per pair and letter, reckoned at min(n, 64), or over
+    # the byte budget for two widest layers of max_k C(n, k) 2^k pairs.
     _check_order(n)
     _check_work(n, 2 * min(n, 64) * 3 ** min(n, 64) // 3)
     width, ones, keep = _packing(n, masks)
@@ -141,12 +141,12 @@ def _memo_counts(n: int, masks: Sequence[int]) -> list[int]:
                     nxt[key | bit << n] = nxt.get(key | bit << n, 0) + kept_b
         layer = nxt
     total = sum(layer.values())
-    return [total >> width * i & (1 << width) - 1 for i in range(len(masks))]
+    return {t: total >> width * i & (1 << width) - 1 for i, t in enumerate(masks)}
 
 
 def count_backtrack(n: int, tset: PatternSet) -> CountResult:
     """Count avoiders by prefixes merged by their used magnitudes (_memo_counts)."""
-    return CountResult(n, tset, _memo_counts(n, [tset.mask])[0], BACKTRACK)
+    return CountResult(n, tset, _memo_counts(n, [tset.mask])[tset.mask], BACKTRACK)
 
 
 def _halves(k: int) -> list[tuple[int, int, int]]:
@@ -185,11 +185,11 @@ def _check_budget(n_max: int, sets: int) -> None:
     _check_work(n_max, steps, "the transfer engine's", "steps")
 
 
-def transfer_all_orders(n_max: int, masks: Sequence[int]) -> Iterator[list[int]]:
-    """Avoider counts of the listed sets at orders 0..n_max, order by order.
+def transfer_all_orders(n_max: int, masks: Collection[int]) -> Iterator[dict[int, int]]:
+    """Avoider counts of the given sets at orders 0..n_max, order by order.
 
-    Yields order n's counts, in the order of masks, a sequence of 8-bit
-    pattern-set masks (repeats allowed), as soon as layer n is built.  A
+    Yields order n's counts as {mask: count}, one key per distinct 8-bit
+    pattern-set mask in masks, as soon as layer n is built.  A
     negative n_max, a mask outside 0..255, an n_max whose estimated memory
     for these masks is over _BUDGET_BYTES, or one whose pass takes over
     _WORK_BUDGET steps raises ValueError at the call, before any layer.
@@ -211,7 +211,7 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> Iterator[list[int]]
     of indices into layer k - 1's halves: take (the half it joins) and shift.
 
     A state's counts are packed into one Python int, the count for
-    masks[i] in bits [W*i, W*(i+1)) with W the bit length of 2^n_max
+    masks' i-th mask in bits [W*i, W*(i+1)) with W the bit length of 2^n_max
     n_max!.  A state with k unused magnitudes has 2^k k! completions in
     all, and every count, and every partial sum of its successors' counts,
     is at most that, so no field ever overflows into the next: successors
@@ -220,12 +220,12 @@ def transfer_all_orders(n_max: int, masks: Sequence[int]) -> Iterator[list[int]]
     sharing a summary and bar.  Unpacked counts are exact Python integers.
     """
     _check_budget(n_max, len(masks))
-    return _layers(n_max, len(masks), *_packing(n_max, masks))
+    return _layers(n_max, tuple(masks), *_packing(n_max, masks))  # copied, as it is read lazily
 
 
-def _layers(n_max: int, sets: int, width: int, ones: int, keep: list[int]) -> Iterator[list[int]]:
+def _layers(n_max: int, masks: Collection[int], width: int, ones: int,
+            keep: list[int]) -> Iterator[dict[int, int]]:
     # transfer_all_orders' pass, a generator of its own so that the checks run at the call
-    field = (1 << width) - 1
     layer, halves = [], []
     for k in range(n_max + 1):
         index = {(lo, hi): i for i, (lo, hi, _) in enumerate(halves)}
@@ -255,7 +255,7 @@ def _layers(n_max: int, sets: int, width: int, ones: int, keep: list[int]) -> It
                     vec += (acc_u & keep[s]) + (acc_b & keep[s | 16])
                 layer.append(vec)
             layer += [0] * (len(halves) - m)  # pairs never reached
-        yield [layer[0] >> width * i & field for i in range(sets)]
+        yield {t: layer[0] >> width * i & (1 << width) - 1 for i, t in enumerate(masks)}
 
 
 def mask_histogram(n: int) -> dict[int, int]:
@@ -328,7 +328,8 @@ def count(n: int, tset: PatternSet, method: str = TRANSFER) -> CountResult:
     backtrack and mask are the oracles, each guarded by its work.
     """
     if method == TRANSFER:
-        return CountResult(n, tset, list(transfer_all_orders(n, [tset.mask]))[n][0], TRANSFER)
+        *_, counts = transfer_all_orders(n, [tset.mask])
+        return CountResult(n, tset, counts[tset.mask], TRANSFER)
     oracle = _ORACLES.get(method)
     if oracle is None:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

@@ -154,7 +154,7 @@ class TestFormulaCheck:
     def test_a_wrong_count_exits_1(self, capsys, monkeypatch):
         def off_by_one(n_max, masks):
             counts = list(engine(n_max, masks))
-            counts[7][0] += 1
+            counts[7][PatternSet.parse(self.T_2).mask] += 1
             return counts
 
         engine = cli.transfer_all_orders
@@ -183,9 +183,8 @@ class TestFormulaCheck:
         # one count of T_2's orbit at order 7 off by one, in each engine call
         def off_by_one(n_max, masks):
             counts = list(engine(n_max, masks))
-            for i, mask in enumerate(masks):
-                if mask in orbit and n_max >= 7:
-                    counts[7][i] += 1
+            for mask in counts[7].keys() & orbit if n_max >= 7 else ():
+                counts[7][mask] += 1
             return counts
 
         engine = cli.transfer_all_orders

@@ -34,6 +34,7 @@ from signedperms import core, enumeration
 from conftest import NAMED_TRIPLES, oracle_count, oracle_pair_matches
 
 pattern_sets = st.integers(0, 255).map(PatternSet)
+mask_lists = st.lists(st.integers(0, 255), max_size=12)
 
 
 ALL_SETS = [PatternSet(m) for m in range(256)]
@@ -51,8 +52,14 @@ def budget_estimate(n_max: int, sets: int) -> float:
 
 @functools.cache
 def transfer_to(n_max: int) -> list[dict[PatternSet, int]]:
-    # all 256 sets' counts at orders 0..n_max, keyed by set in mask order
-    return [dict(zip(ALL_SETS, c)) for c in transfer_all_orders(n_max, range(256))]
+    # all 256 sets' counts at orders 0..n_max, keyed by set
+    return [{PatternSet(m): c for m, c in per.items()}
+            for per in transfer_all_orders(n_max, range(256))]
+
+
+def by_mask(per: dict[PatternSet, int]) -> dict[int, int]:
+    # a row of transfer_to keyed by mask, as the engines key theirs
+    return {tset.mask: c for tset, c in per.items()}
 
 
 def brute_histogram(n: int) -> dict[int, int]:
@@ -220,7 +227,7 @@ class TestTransfer:
     def test_independent_of_field_width(self):
         # counts are packed into fields whose width depends on n_max; the
         # same orders must come out of every width
-        wide = [list(per.values()) for per in transfer_to(14)]
+        wide = [by_mask(per) for per in transfer_to(14)]
         for m in range(9):
             narrow = list(transfer_all_orders(m, range(256)))
             assert narrow == list(transfer_all_orders(m + 3, range(256)))[: m + 1], m
@@ -243,7 +250,7 @@ class TestTransfer:
 
     def test_order_range(self):
         # order 33 is the census's last within the memory budget
-        assert list(transfer_all_orders(0, range(256))) == [[1] * 256]
+        assert list(transfer_all_orders(0, range(256))) == [dict.fromkeys(range(256), 1)]
         with pytest.raises(ValueError, match="order 34 on 256 set.* over the budget"):
             transfer_all_orders(34, range(256))
         with pytest.raises(ValueError, match="order must be nonnegative, got -1"):
@@ -370,11 +377,11 @@ class TestTransfer:
     def test_one_pass_to_order_22(self):
         # half indices pass the small-int cache from layer 22 (H = 277 halves);
         # {1 2} has sum_k C(n,k)^2 k! avoiders (EQ1) and T_2 Catalan C(n+1) (EQ7)
-        t2 = PatternSet.parse(NAMED_TRIPLES["T_2"])
-        per_order = list(transfer_all_orders(22, [PatternSet.parse("1 2").mask, t2.mask]))
+        one, t2 = PatternSet.parse("1 2").mask, PatternSet.parse(NAMED_TRIPLES["T_2"]).mask
+        per_order = list(transfer_all_orders(22, [one, t2]))
         assert per_order == [
-            [sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1)),
-             math.comb(2 * n + 2, n + 1) // (n + 2)]
+            {one: sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1)),
+             t2: math.comb(2 * n + 2, n + 1) // (n + 2)}
             for n in range(23)
         ]
 
@@ -386,7 +393,7 @@ class TestTransfer:
                 transfer_all_orders(n_max, masks)
         orders = transfer_all_orders(2, [0])
         assert iter(orders) is orders
-        assert [next(orders), next(orders), next(orders)] == [[1], [2], [8]]
+        assert [next(orders), next(orders), next(orders)] == [{0: 1}, {0: 2}, {0: 8}]
         with pytest.raises(StopIteration):
             next(orders)
 
@@ -416,31 +423,43 @@ class TestTransfer:
         finally:
             tracemalloc.stop()
             gc.enable()
-        assert first == [list(per.values()) for per in transfer_to(3)]
+        assert first == [by_mask(per) for per in transfer_to(3)]
         assert held > 1 << 19
         assert left < held // 20
 
 
 class TestPackedKernel:
-    # transfer_all_orders packs one field per listed mask, in list order
+    # transfer_all_orders packs one field per given mask and keys each
+    # order's row by mask
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10), st.lists(st.integers(0, 255), max_size=12))
-    def test_fields_follow_the_list(self, n, masks):
+    @given(st.integers(0, 8), mask_lists)
+    def test_rows_are_keyed_by_mask(self, n, masks):
+        # any order, repeats allowed: one key per distinct mask, holding that
+        # mask's count in a 256-set pass
         packed = list(transfer_all_orders(n, masks))
         assert len(packed) == n + 1
-        for k, per in enumerate(transfer_to(n)):
-            assert packed[k] == [per[PatternSet(m)] for m in masks], k
+        for k, per in enumerate(transfer_to(8)[: n + 1]):
+            assert packed[k] == {m: per[PatternSet(m)] for m in masks}, k
+
+    def test_the_call_fixes_the_masks(self):
+        # the pass runs lazily, but keys its rows by the masks it packed at
+        # the call, whatever the caller does to its list afterwards
+        masks = [0, 0xFF]
+        orders = transfer_all_orders(2, masks)
+        masks.reverse()
+        assert list(orders) == [{0: 1, 0xFF: 1}, {0: 2, 0xFF: 2}, {0: 8, 0xFF: 0}]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 6), pattern_sets)
     def test_one_set_matches_naive(self, n, tset):
-        assert list(transfer_all_orders(n, [tset.mask]))[n] == [count_naive(n, tset).value]
+        expected = {tset.mask: count_naive(n, tset).value}
+        assert list(transfer_all_orders(n, [tset.mask]))[n] == expected
 
     @pytest.mark.parametrize("name", sorted(NAMED_TRIPLES))
     def test_one_set_matches_backtrack_through_order_8(self, name):
         tset = PatternSet.parse(NAMED_TRIPLES[name])
-        sequence = [c[0] for c in transfer_all_orders(8, [tset.mask])]
+        sequence = [c[tset.mask] for c in transfer_all_orders(8, [tset.mask])]
         assert sequence == [count_backtrack(n, tset).value for n in range(9)]
 
 
@@ -561,7 +580,7 @@ class TestWorkBudget:
         # on the guards alone: the backtracking guard reads only the order and
         # the number of sets, and the full set ends each count at once
         core._check_group(9)
-        assert enumeration._memo_counts(9, [0xFF] * 256) == [0] * 256
+        assert enumeration._memo_counts(9, [0xFF] * 256) == {0xFF: 0}
         assert memo_moves(9) == 118_098
 
     @pytest.mark.parametrize("text, reach", [
@@ -606,7 +625,7 @@ class TestWorkBudget:
         # 256 sets packed: admitted at 13 and refused at 14 for memory, each
         # decided before counting; the full set again ends the count at once
         start = time.perf_counter()
-        assert enumeration._memo_counts(13, [0xFF] * 256) == [0] * 256
+        assert enumeration._memo_counts(13, [0xFF] * 256) == {0xFF: 0}
         with pytest.raises(ValueError, match=r"order 14 on 256 set\(s\) needs an estimated"):
             enumeration._memo_counts(14, range(256))
         assert time.perf_counter() - start < 1
@@ -632,14 +651,15 @@ class TestMemo:
 
     @pytest.mark.parametrize("n", range(9))
     def test_all_sets_match_the_histogram_through_order_8(self, n):
-        assert enumeration._memo_counts(n, range(256)) == list(counts_all_subsets(n).values())
+        assert enumeration._memo_counts(n, range(256)) == by_mask(counts_all_subsets(n))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 7), st.lists(st.integers(0, 255), max_size=12))
-    def test_fields_follow_the_list(self, n, masks):
-        # repeats and any order: field i is masks[i]'s count
-        expected = [transfer_to(7)[n][PatternSet(m)] for m in masks]
-        assert enumeration._memo_counts(n, masks) == expected
+    @given(st.integers(0, 8), mask_lists)
+    def test_rows_are_keyed_by_mask(self, n, masks):
+        # any order, repeats allowed: one key per distinct mask, holding that
+        # mask's count in a 256-set pass
+        counts = enumeration._memo_counts(n, masks)
+        assert counts == {m: transfer_to(8)[n][PatternSet(m)] for m in masks}
 
     def test_masks_are_checked(self):
         for bad in (256, -1, True, 1.0):
